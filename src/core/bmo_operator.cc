@@ -123,20 +123,23 @@ Status BmoOperator::Open() {
           std::make_shared<const std::vector<size_t>>(positions_));
     }
   }
-  // Candidate id of pulled row i: its heap slot in position mode (an index
-  // into the whole-table KeyStore), the pulled index otherwise.
-  auto id_of = [&](size_t i) { return use_positions_ ? positions_[i] : i; };
-  const size_t key_rows = use_positions_ ? config_.key_rows : n;
-
   // 2. Packed keys: an engine cache hit reuses the whole store (the cached
   //    row count matching the expected count re-checks the planner's row
   //    correspondence); otherwise build into a fresh store — appended
-  //    straight into the packed KeyStore, no per-tuple key allocation —
-  //    and publish it when this run is cache-keyed. In position mode the
-  //    store covers the whole table (one build amortizes across every
-  //    filtered query over this snapshot).
+  //    straight into the packed KeyStore, no per-tuple key allocation.
+  //    On a position-mode miss the candidate count picks the key space:
+  //      * a selective filter (2n < key_rows) keys only its n candidates
+  //        into a statement-local store, runs over pulled-index ids and
+  //        publishes nothing: the whole-table build would cost more than
+  //        twice as much;
+  //      * a broader filter, and every unfiltered run, keys the whole
+  //        table and publishes it. That costs at most 2x the
+  //        candidate-only build and leaves one store every later query
+  //        over this table version shares, filtered or not.
   const bool cache_keyed = config_.key_cache != nullptr &&
                            (config_.base_heap == nullptr || use_positions_);
+  size_t key_rows = use_positions_ ? config_.key_rows : n;
+  bool publish_keys = cache_keyed;
   if (cache_keyed) {
     auto cached = config_.key_cache->Lookup(config_.key_cache_key);
     if (cached != nullptr && cached->keys != nullptr &&
@@ -144,8 +147,23 @@ Status BmoOperator::Open() {
         cached->keys->num_leaves() == pref_->num_leaves()) {
       keys_ = cached->keys;
       run_stats_.key_cache_hit = true;  // key_build_ns stays 0
+      run_stats_.key_cache_detail =
+          "key cache: hit (" + std::to_string(key_rows) + " slots)";
+    } else if (use_positions_ && config_.filtered && 2 * n < key_rows) {
+      use_positions_ = false;
+      positions_.clear();
+      local_of_.clear();
+      publish_keys = false;
+      run_stats_.key_cache_detail =
+          "key cache: miss, keyed " + std::to_string(n) + " of " +
+          std::to_string(key_rows) +
+          " slots (candidates only, not published)";
+      key_rows = n;
     }
   }
+  // Candidate id of pulled row i: its heap slot in position mode (an index
+  // into the whole-table KeyStore), the pulled index otherwise.
+  auto id_of = [&](size_t i) { return use_positions_ ? positions_[i] : i; };
   if (keys_ == nullptr) {
     using Clock = std::chrono::steady_clock;
     size_t tick = 0;
@@ -192,12 +210,15 @@ Status BmoOperator::Open() {
                                                              t0)
             .count());
     keys_ = std::move(built);
-    if (cache_keyed) {
+    if (publish_keys) {
       if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
       auto entry = std::make_shared<SkylineEntry>();
       entry->keys = keys_;
       entry->pref = config_.cache_pref;
       config_.key_cache->Insert(config_.key_cache_key, std::move(entry));
+      run_stats_.key_cache_detail = "key cache: miss, keyed whole table (" +
+                                    std::to_string(key_rows) +
+                                    " slots), published";
     }
   }
   const KeyStore& keys = *keys_;

@@ -51,6 +51,11 @@ struct BmoRunStats {
   /// The packed keys came from the engine key cache (key build skipped;
   /// bmo.key_build_ns stays 0).
   bool key_cache_hit = false;
+  /// How a cache-keyed run obtained its keys: hit, whole-table build
+  /// (published) or candidates-only build (not published), with the slot
+  /// counts. When set, it replaces the planner's eligibility line in the
+  /// statement stats; empty when the run was not cache-keyed.
+  std::string key_cache_detail;
 };
 
 /// Configuration of one BmoOperator instance.
@@ -99,6 +104,10 @@ struct BmoOperatorConfig {
   /// published entry shares with later readers. nullptr = candidates are
   /// not a base-table scan (keys are pulled-index local).
   const RowHeap* base_heap = nullptr;
+  /// The candidates are a WHERE-narrowed subset of the table (position
+  /// mode). A key-cache miss that pulled fewer than half of `key_rows`
+  /// keys only the candidates and publishes nothing (see Open, step 2).
+  bool filtered = false;
   /// Snapshot epoch of this run (position mode).
   uint64_t snapshot = 0;
   /// Slot count sealed by the snapshot's table version: the key space of
@@ -158,8 +167,9 @@ class BmoOperator : public PhysicalOperator {
   /// borrowed wholesale from the engine key cache (immutable either way).
   /// Indexed by candidate id (storage positions in position mode).
   std::shared_ptr<const KeyStore> keys_;
-  /// Position mode engaged at runtime: config_.base_rows is set and every
-  /// pulled row's storage position was recovered.
+  /// Position mode engaged at runtime: config_.base_heap is set, every
+  /// pulled row's storage position was recovered, and the keys are the
+  /// whole-table store (cached, or built because the filter was broad).
   bool use_positions_ = false;
   std::vector<size_t> positions_;  // pulled index -> storage position
   std::unordered_map<size_t, size_t> local_of_;  // storage pos -> pulled

@@ -117,6 +117,9 @@ void Cursor::Close() {
         stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
         stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
         stats.key_cache_hit = bmo.key_cache_hit;
+        if (!bmo.key_cache_detail.empty()) {
+          stats.key_cache_detail = bmo.key_cache_detail;
+        }
         stats.prefilter_candidate_count = pre.candidate_count;
         stats.prefilter_result_count = pre.result_count;
       }

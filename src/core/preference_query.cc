@@ -236,8 +236,10 @@ Result<PreferencePlan> BuildPreferencePlan(
   // and no subquery anywhere a key could depend on other tables. The cache
   // key embeds the preference tree hash, the table's process-unique id and
   // its mutation version, so a match is provably the same keys. A
-  // subquery-free WHERE is eligible too (position mode): the whole-table
-  // key store is shared and the WHERE only narrows the candidate ids.
+  // subquery-free WHERE is eligible too (position mode): the WHERE only
+  // narrows the candidate ids into the shared whole-table key store, unless
+  // it is selective enough that keying just its candidates is cheaper
+  // (BmoOperator::Open, step 2).
   const Table* cache_table = nullptr;
   if (options.key_cache == nullptr) {
     plan.key_cache_detail = "key cache: disabled";
@@ -274,6 +276,7 @@ Result<PreferencePlan> BuildPreferencePlan(
     config.base_heap = &table->heap();
     config.snapshot = snap;
     config.key_rows = table->HeapSizeAt(snap);
+    config.filtered = q.where != nullptr;
     plan.key_cache_eligible = true;
     plan.key_cache_detail = q.where == nullptr
                                 ? "key cache: eligible (table " +
@@ -341,6 +344,9 @@ Result<PreferencePlan> BuildPreferencePlan(
       // The cached keys are reused by proxy — no key build, no BMO pass
       // (bmo.simd stays kScalar: no dominance code executed).
       plan.bmo_stats->key_cache_hit = true;
+      plan.bmo_stats->key_cache_detail =
+          "key cache: hit (" + std::to_string(config.key_rows) +
+          " slots, skyline served)";
       plan.bmo_stats->result_count = cached->skyline->size();
       plan.bmo_stats->bmo.kernel = pref.program().kernel();
       auto scan = std::make_unique<HeapPositionScanOperator>(
@@ -386,7 +392,9 @@ Result<ResultTable> ExecutePreferenceQueryDirect(
     stats->prefilter = *plan.prefilter_stats;
     stats->key_cache_eligible = plan.key_cache_eligible;
     stats->key_cache_hit = plan.bmo_stats->key_cache_hit;
-    stats->key_cache_detail = plan.key_cache_detail;
+    stats->key_cache_detail = plan.bmo_stats->key_cache_detail.empty()
+                                  ? plan.key_cache_detail
+                                  : plan.bmo_stats->key_cache_detail;
     stats->skyline_cache_hit = plan.skyline_cache_hit;
     stats->skyline_cache_detail = plan.skyline_cache_detail;
   }

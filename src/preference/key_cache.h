@@ -23,6 +23,13 @@
 // against a 64-bit hash collision between two different preferences, so a
 // match provably produces identical keys.
 //
+// Only whole-table stores are published. A WHERE-filtered miss that pulled
+// fewer than half of the table's slots keys just its candidates into a
+// statement-local store instead (BmoOperator::Open, step 2): the
+// whole-table build would cost more than twice as much. At half or more
+// the whole-table build costs at most 2x and is published, so bare scans
+// and broad filters keep sharing one entry.
+//
 // Incremental maintenance: after a DML statement the engine does not merely
 // abandon the now-unreachable entries — it re-derives them under the new
 // table version (core/engine.cc, MaintainSkylineCaches):

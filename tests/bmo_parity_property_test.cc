@@ -204,6 +204,141 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BmoParityPropertyTest,
                          ::testing::Values(1u, 5u, 23u, 57u, 111u, 4242u));
 
 // ---------------------------------------------------------------------------
+// Filtered queries on both sides of the key-cache miss's half cut.
+// ---------------------------------------------------------------------------
+
+// Each row of `table` rendered as one string, sorted (paths may emit the
+// same maximal set in different orders).
+std::vector<std::string> SortedRows(const ResultTable& table) {
+  std::vector<std::string> rows;
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    std::string row;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      row += table.at(i, c).ToString() + "|";
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+class FilteredKeySpaceParityTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+// A key-cache miss over a filter keeping fewer than half of the table's
+// slots keys only the candidates, and the BMO, GROUPING, BUT ONLY and the
+// quality columns then address keys by pulled index; a broader filter, or a
+// cache hit, addresses the whole-table store by heap slot. Every algorithm,
+// with the key cache off, cold, and warm from a published whole-table
+// store, must return the rows of the rewrite evaluation (paper §3.2).
+TEST_P(FilteredKeySpaceParityTest, BothSidesOfTheHalfCutAgree) {
+  constexpr size_t kRows = 600;
+  const uint64_t seed = GetParam();
+  Random rng(seed);
+  const std::string pref_text = RandomPreferenceText(rng);
+  SCOPED_TRACE("PREFERRING " + pref_text);
+
+  // One filter per side of the cut: `column < v` with v drawn at a seeded
+  // quantile of the column, 5-45 % of the rows or 55-95 %.
+  Connection ref;
+  ASSERT_TRUE(GenerateUsedCars(ref.database(), kRows, seed).ok());
+  std::vector<std::string> filters;
+  for (bool selective : {true, false}) {
+    const char* column = rng.Bernoulli(0.5) ? "mileage" : "power";
+    auto sorted =
+        ref.Execute(std::string("SELECT ") + column + " FROM car ORDER BY 1");
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    const int64_t pct = selective ? rng.Uniform(5, 45) : rng.Uniform(55, 95);
+    const size_t at = kRows * static_cast<size_t>(pct) / 100;
+    filters.push_back(std::string("WHERE ") + column + " < " +
+                      sorted->at(at, 0).ToString());
+  }
+  std::vector<std::string> queries;
+  for (const std::string& where : filters) {
+    const std::string tail = " FROM car " + where + " PREFERRING " + pref_text;
+    queries.push_back("SELECT id" + tail);
+    queries.push_back("SELECT id, make" + tail + " GROUPING make");
+    queries.push_back("SELECT id" + tail + " BUT ONLY DISTANCE(price) <= " +
+                      std::to_string(rng.Uniform(500, 8000)));
+    queries.push_back("SELECT id, TOP(price), LEVEL(price), "
+                      "DISTANCE(mileage)" +
+                      tail);
+  }
+  const size_t per_filter = queries.size() / filters.size();
+
+  std::vector<std::vector<std::string>> expected;
+  for (const std::string& q : queries) {
+    auto r = ref.Execute(q);
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    expected.push_back(SortedRows(*r));
+  }
+
+  struct Config {
+    const char* name;
+    EvaluationMode mode;
+    BmoAlgorithm algorithm;
+  };
+  const Config configs[] = {
+      {"naive", EvaluationMode::kNaiveNestedLoop,
+       BmoAlgorithm::kNaiveNestedLoop},
+      {"bnl", EvaluationMode::kBlockNestedLoop, BmoAlgorithm::kBlockNestedLoop},
+      {"sfs", EvaluationMode::kSortFilterSkyline,
+       BmoAlgorithm::kSortFilterSkyline},
+      {"less", EvaluationMode::kBlockNestedLoop, BmoAlgorithm::kLess},
+  };
+  for (const Config& config : configs) {
+    for (bool key_cache : {false, true}) {
+      SCOPED_TRACE(std::string(config.name) +
+                   (key_cache ? ", key cache on" : ", key cache off"));
+      ConnectionOptions opts;
+      opts.mode = config.mode;
+      if (config.algorithm == BmoAlgorithm::kLess) {
+        opts.bmo_algorithm = BmoAlgorithm::kLess;
+      }
+      opts.key_cache = key_cache;
+      Connection conn(opts);
+      ASSERT_TRUE(GenerateUsedCars(conn.database(), kRows, seed).ok());
+      // Runs query i against its expected rows; returns the key-cache line.
+      auto check = [&](size_t i) -> std::string {
+        auto r = conn.Execute(queries[i]);
+        EXPECT_TRUE(r.ok()) << queries[i] << ": " << r.status().ToString();
+        if (!r.ok()) return "";
+        EXPECT_EQ(SortedRows(*r), expected[i]) << queries[i];
+        EXPECT_EQ(conn.last_stats().bmo_algorithm,
+                  BmoAlgorithmToString(config.algorithm));
+        return conn.last_stats().key_cache_detail;
+      };
+      // Cold: the selective filter keys its candidates only; the broad one
+      // publishes the whole table, which its later variants then reuse.
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const std::string detail = check(i);
+        if (!key_cache) continue;
+        if (i < per_filter) {
+          EXPECT_NE(detail.find("candidates only"), std::string::npos)
+              << queries[i] << ": " << detail;
+        } else if (i == per_filter) {
+          EXPECT_NE(detail.find("keyed whole table"), std::string::npos)
+              << queries[i] << ": " << detail;
+        } else {
+          EXPECT_NE(detail.find("key cache: hit"), std::string::npos)
+              << queries[i] << ": " << detail;
+        }
+      }
+      if (!key_cache) continue;
+      // Warm: the selective filter now runs over the published store.
+      for (size_t i = 0; i < per_filter; ++i) {
+        const std::string detail = check(i);
+        EXPECT_NE(detail.find("key cache: hit"), std::string::npos)
+            << queries[i] << ": " << detail;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FilteredKeySpaceParityTest,
+                         ::testing::Values(3u, 17u, 64u, 2024u));
+
+// ---------------------------------------------------------------------------
 // Dominance program vs recursive Compare oracle on randomized trees.
 // ---------------------------------------------------------------------------
 

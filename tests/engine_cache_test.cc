@@ -12,6 +12,7 @@
 #include "core/connection.h"
 #include "sql/normalize.h"
 #include "sql/parser.h"
+#include "workload/generators.h"
 
 namespace prefsql {
 namespace {
@@ -216,6 +217,121 @@ TEST_F(EngineCacheTest, FilteredQueriesShareTheWholeTableKeys) {
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(conn_.last_stats().key_cache_hit)
       << conn_.last_stats().key_cache_detail;
+}
+
+// The key space of a key-cache miss follows the candidate count: a filter
+// keeping fewer than half of the table's slots keys only its candidates and
+// publishes nothing; a broader one keys (and publishes) the whole table.
+class KeySpaceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(GenerateUsedCars(conn_.database(), kRows).ok());
+    ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
+  }
+
+  static std::string Query(const std::string& where) {
+    return "SELECT id, price, mileage FROM car " + where +
+           " PREFERRING LOWEST(price) AND LOWEST(mileage)";
+  }
+
+  static constexpr size_t kRows = 2000;
+  Connection conn_;
+};
+
+TEST_F(KeySpaceTest, SelectiveFilterKeysOnlyItsCandidates) {
+  const std::string q = Query("WHERE id < 300");
+  auto r = conn_.Execute(q);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const PreferenceQueryStats& stats = conn_.last_stats();
+  EXPECT_TRUE(stats.key_cache_eligible) << stats.key_cache_detail;
+  EXPECT_FALSE(stats.key_cache_hit);
+  EXPECT_GT(stats.bmo_key_build_ns, 0u);
+  EXPECT_EQ(stats.candidate_count, 300u);
+  EXPECT_EQ(stats.key_cache_detail,
+            "key cache: miss, keyed 300 of 2000 slots (candidates only, "
+            "not published)");
+  EXPECT_EQ(conn_.engine()->key_cache().size(), 0u);
+
+  // Nothing was published, so the repeat keys its candidates again.
+  auto again = conn_.Execute(q);
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(conn_.last_stats().key_cache_hit);
+  EXPECT_GT(conn_.last_stats().bmo_key_build_ns, 0u);
+  EXPECT_EQ(conn_.engine()->key_cache().size(), 0u);
+  EXPECT_EQ(again->ToString(), r->ToString());
+
+  ASSERT_TRUE(conn_.Execute("SET key_cache = off").ok());
+  auto uncached = conn_.Execute(q);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_FALSE(conn_.last_stats().key_cache_eligible);
+  EXPECT_EQ(uncached->ToString(), r->ToString());
+}
+
+TEST_F(KeySpaceTest, HalfTheTableStillKeysAndPublishesTheWholeTable) {
+  // 2n == key_rows sits on the whole-table side of the cut.
+  auto r = conn_.Execute(Query("WHERE id >= 1000"));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(conn_.last_stats().key_cache_hit);
+  EXPECT_EQ(conn_.last_stats().candidate_count, 1000u);
+  EXPECT_EQ(conn_.last_stats().key_cache_detail,
+            "key cache: miss, keyed whole table (2000 slots), published");
+  EXPECT_EQ(conn_.engine()->key_cache().size(), 1u);
+
+  // The unfiltered spelling reuses the published store...
+  ASSERT_TRUE(conn_.Execute(Query("")).ok());
+  EXPECT_TRUE(conn_.last_stats().key_cache_hit)
+      << conn_.last_stats().key_cache_detail;
+  EXPECT_EQ(conn_.last_stats().bmo_key_build_ns, 0u);
+  // ...and so does a selective filter, whose candidates are slots of it.
+  auto selective = conn_.Execute(Query("WHERE id < 300"));
+  ASSERT_TRUE(selective.ok());
+  EXPECT_TRUE(conn_.last_stats().key_cache_hit)
+      << conn_.last_stats().key_cache_detail;
+  EXPECT_EQ(conn_.last_stats().key_cache_detail,
+            "key cache: hit (2000 slots)");
+
+  ASSERT_TRUE(conn_.Execute("SET key_cache = off").ok());
+  auto uncached = conn_.Execute(Query("WHERE id < 300"));
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ(uncached->ToString(), selective->ToString());
+}
+
+TEST_F(KeySpaceTest, OneCandidateShortOfHalfKeysOnlyTheCandidates) {
+  auto r = conn_.Execute(Query("WHERE id > 1000"));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(conn_.last_stats().candidate_count, 999u);
+  EXPECT_EQ(conn_.last_stats().key_cache_detail,
+            "key cache: miss, keyed 999 of 2000 slots (candidates only, "
+            "not published)");
+  EXPECT_EQ(conn_.engine()->key_cache().size(), 0u);
+}
+
+TEST_F(KeySpaceTest, UnfilteredRunsPublishOverAMostlyDeadHeap) {
+  // Two full-table UPDATEs leave 6000 slots of which 2000 are live. A
+  // filter over 1500 rows keys only its candidates, while the bare skyline
+  // still keys the whole table and publishes it: its store and skyline
+  // serve every repeat.
+  ASSERT_TRUE(conn_.Execute("UPDATE car SET price = price + 1").ok());
+  ASSERT_TRUE(conn_.Execute("UPDATE car SET price = price - 1").ok());
+  auto filtered = conn_.Execute(Query("WHERE id < 1500"));
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_EQ(conn_.last_stats().key_cache_detail,
+            "key cache: miss, keyed 1500 of 6000 slots (candidates only, "
+            "not published)");
+  ASSERT_TRUE(conn_.Execute("SET key_cache = off").ok());
+  auto filtered_off = conn_.Execute(Query("WHERE id < 1500"));
+  ASSERT_TRUE(filtered_off.ok());
+  EXPECT_EQ(filtered->ToString(), filtered_off->ToString());
+
+  ASSERT_TRUE(conn_.Execute("SET key_cache = on").ok());
+  auto bare = conn_.Execute(Query(""));
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_EQ(conn_.last_stats().candidate_count, kRows);
+  EXPECT_EQ(conn_.last_stats().key_cache_detail,
+            "key cache: miss, keyed whole table (6000 slots), published");
+  ASSERT_TRUE(conn_.Execute(Query("")).ok());
+  EXPECT_TRUE(conn_.last_stats().skyline_cache_hit)
+      << conn_.last_stats().skyline_cache_detail;
 }
 
 TEST_F(EngineCacheTest, CommutedComparisonsShareOneFilterEntry) {

@@ -180,6 +180,26 @@ TEST(RobustnessTest, StatementMemoryBudgetRefusesWithResourceExhausted) {
   EXPECT_TRUE(conn.Execute(kHeavyQuery).ok());
 }
 
+TEST(RobustnessTest, StatementMemoryBudgetChargesOnlyTheKeyedCandidates) {
+  auto engine = std::make_shared<Engine>();
+  ASSERT_TRUE(GenerateUsedCars(engine->database(), 20000).ok());
+  Connection conn;
+  conn.Attach(engine);
+  conn.options().mode = EvaluationMode::kBlockNestedLoop;
+  ASSERT_TRUE(conn.Execute("SET statement_memory_bytes = 65536").ok());
+  // A selective filter keys only its 300 candidates (~14KB of packed keys),
+  // so it fits the budget the whole-table key store (~960KB) does not.
+  auto selective = conn.Execute(
+      "SELECT id FROM car WHERE id < 300 PREFERRING LOWEST(price) AND "
+      "LOWEST(mileage) AND HIGHEST(power) AND LOWEST(age)");
+  ASSERT_TRUE(selective.ok()) << selective.status().ToString();
+  EXPECT_EQ(conn.last_stats().candidate_count, 300u);
+  EXPECT_GT(selective->num_rows(), 0u);
+  auto bare = conn.Execute(kHeavyQuery);
+  ASSERT_FALSE(bare.ok());
+  EXPECT_TRUE(bare.status().IsResourceExhausted()) << bare.status().ToString();
+}
+
 TEST(RobustnessTest, EngineBudgetShedsCachesBeforeRefusing) {
   auto engine = std::make_shared<Engine>();
   ASSERT_TRUE(GenerateUsedCars(engine->database(), 20000).ok());
