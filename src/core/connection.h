@@ -61,8 +61,9 @@ class Connection {
 
   /// Attaches this connection to `engine`, releasing the private one. The
   /// session's knobs and stats are kept. Statements of connections sharing
-  /// an engine are isolated by the engine's statement lock (reads run
-  /// concurrently, writes exclusively).
+  /// an engine are isolated by MVCC snapshots: reads and DML run
+  /// concurrently, DML statements serialize among themselves, and only DDL
+  /// takes the engine's statement lock exclusively.
   void Attach(std::shared_ptr<Engine> engine) { engine_ = std::move(engine); }
 
   /// The engine this connection runs on (pass it to another connection's

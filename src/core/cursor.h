@@ -18,9 +18,10 @@
 //     end-of-stream, or an error) closes the operator tree — flushing the
 //     BMO statistics into the session's last_stats even when the client
 //     stopped early — and releases the snapshot pin and the lock promptly.
-//   * materialized — rewrite-mode preference queries (their Aux views need
-//     an exclusive critical section), EXPLAIN, and DML results are computed
-//     eagerly and replayed row by row; no lock or pin is held.
+//   * materialized — rewrite-mode preference queries (evaluated at a pinned
+//     snapshot under the shared lock, then released), EXPLAIN, and DML
+//     results are computed eagerly and replayed row by row; no lock or pin
+//     is held while the client pulls.
 //
 // Snapshot stability: a streaming cursor's rows are exactly the versions
 // visible at its open-time epoch. Concurrent DML appends new row versions

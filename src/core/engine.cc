@@ -36,20 +36,9 @@ const char* EvaluationModeToString(EvaluationMode m) {
 
 namespace {
 
-// Restores catalog version bumps when the rewrite path exits (including on
-// error) after suppressing them around its transient Aux views.
-class ScopedVersionBumpSuppression {
- public:
-  explicit ScopedVersionBumpSuppression(Catalog* catalog) : catalog_(catalog) {
-    catalog_->set_suppress_version_bumps(true);
-  }
-  ~ScopedVersionBumpSuppression() {
-    catalog_->set_suppress_version_bumps(false);
-  }
-
- private:
-  Catalog* catalog_;
-};
+// Reserved name of the rewrite strategy's statement-local Aux relation (the
+// BUT ONLY pre-filter relation appends "_f").
+constexpr char kAuxRelation[] = "_prefsql_aux";
 
 bool IsCacheableKind(StatementKind kind) {
   return kind == StatementKind::kSelect || kind == StatementKind::kExplain;
@@ -205,7 +194,6 @@ uint64_t Engine::KnobFingerprint(const ConnectionOptions& o) {
   h = FingerprintMix(
       h, o.bmo_algorithm ? 1 + static_cast<uint64_t>(*o.bmo_algorithm) : 0);
   h = FingerprintMix(h, o.bnl_window);
-  h = FingerprintMix(h, o.keep_aux_views ? 1 : 0);
   h = FingerprintMix(h, o.bmo_threads);
   h = FingerprintMix(h, o.parallel_min_rows);
   h = FingerprintMix(h, o.preference_pushdown ? 1 : 0);
@@ -438,36 +426,6 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
                            /*auto_parameterized=*/false);
   }
 
-  // INSERT ... SELECT with a PREFERRING clause (§2.2.5): evaluate the
-  // preference query, then bulk-insert the BMO rows — one exclusive
-  // critical section for the whole statement.
-  if (stmt.kind == StatementKind::kInsert && stmt.select != nullptr &&
-      stmt.select->IsPreferenceQuery()) {
-    session.mutable_last_stats().was_preference_query = true;
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(*stmt.select));
-    PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*expanded));
-    Result<ResultTable> rows = [&]() -> Result<ResultTable> {
-      if (session.options().mode == EvaluationMode::kRewrite) {
-        auto result = ExecuteViaRewrite(session, *expanded, analyzed.pref);
-        if (result.ok() || !result.status().IsNotImplemented()) return result;
-        // Rewriter refused (e.g. non-weak-order EXPLICIT): fall back.
-        session.mutable_last_stats().rewrite_fallback = true;
-      }
-      return ExecuteDirect(session, *expanded, analyzed.pref);
-    }();
-    PSQL_RETURN_IF_ERROR(rows.status());
-    FlushBatchExecStats(qctx.get(), session.mutable_last_stats());
-    auto result =
-        db_.executor().InsertTable(stmt.name, stmt.insert_columns, *rows);
-    MaintainSkylineCaches();
-    SweepCaches();
-    SnapshotCacheCounters(session);
-    lock.unlock();
-    TryCollectGarbage(session);
-    return result;
-  }
-
   // DML appends row versions: it runs under the *shared* DDL lock (readers
   // streaming at pinned snapshots are never blocked) with DML statements
   // serialized against each other — and with the cache maintenance/sweep
@@ -475,6 +433,12 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
   if (stmt.kind == StatementKind::kInsert ||
       stmt.kind == StatementKind::kUpdate ||
       stmt.kind == StatementKind::kDelete) {
+    const bool insert_preferring = stmt.kind == StatementKind::kInsert &&
+                                   stmt.select != nullptr &&
+                                   stmt.select->IsPreferenceQuery();
+    if (insert_preferring) {
+      session.mutable_last_stats().was_preference_query = true;
+    }
     std::shared_lock<std::shared_mutex> ddl(mutex_);
     Result<ResultTable> result = [&]() -> Result<ResultTable> {
       // Fault-injection site: the handoff to the writer mutex — a delay
@@ -482,7 +446,19 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
       // pre-statement snapshot while this writer is queued.
       PSQL_FAILPOINT_STATUS("writer_handoff");
       std::lock_guard<std::mutex> writer(writer_mutex_);
-      auto r = db_.ExecuteStatement(stmt);
+      Result<ResultTable> r = ResultTable();
+      if (insert_preferring) {
+        // INSERT ... SELECT with a PREFERRING clause (§2.2.5): evaluate the
+        // preference query, then bulk-insert the BMO rows, as plain
+        // INSERT ... SELECT does. A failed evaluation wrote nothing, so it
+        // skips the cache maintenance below.
+        PSQL_ASSIGN_OR_RETURN(ResultTable rows,
+                              EvaluatePreferenceRows(session, *stmt.select));
+        FlushBatchExecStats(qctx.get(), session.mutable_last_stats());
+        r = db_.executor().InsertTable(stmt.name, stmt.insert_columns, rows);
+      } else {
+        r = db_.ExecuteStatement(stmt);
+      }
       MaintainSkylineCaches();
       SweepCaches();
       return r;
@@ -696,26 +672,6 @@ Result<Cursor> Engine::OpenPreparedCursor(
 
   if (plan->select->IsPreferenceQuery()) {
     stats.was_preference_query = true;
-    if (session.options().mode == EvaluationMode::kRewrite) {
-      // The rewrite strategy creates and drops Aux views in the shared
-      // catalog, so it is a writer; it materializes inside one exclusive
-      // critical section and the cursor replays the rows.
-      Result<ResultTable> result = [&]() -> Result<ResultTable> {
-        std::unique_lock<std::shared_mutex> lock(mutex_);
-        PSQL_ASSIGN_OR_RETURN(ExecutionView view,
-                              BindForExecutionLocked(*plan, params, widths));
-        return ExecuteViaRewrite(session, *view.select, view.preference);
-      }();
-      if (result.ok()) {
-        FlushBatchExecStats(qctx.get(), stats);
-        SnapshotCacheCounters(session);
-        return MaterializedCursor(std::move(*result), &session,
-                                  std::move(keepalive));
-      }
-      if (!result.status().IsNotImplemented()) return result.status();
-      // Rewriter refused (e.g. non-weak-order EXPLICIT): stream via BNL.
-      stats.rewrite_fallback = true;
-    }
     std::shared_lock<std::shared_mutex> lock(mutex_);
     // Pin the snapshot under the shared DDL lock (pins are only ever taken
     // while it is held, which is what lets the GC's exclusive acquisition
@@ -726,6 +682,21 @@ Result<Cursor> Engine::OpenPreparedCursor(
     ScopedSnapshot ambient(pin.snapshot());
     PSQL_ASSIGN_OR_RETURN(ExecutionView view,
                           BindForExecutionLocked(*plan, params, widths));
+    if (session.options().mode == EvaluationMode::kRewrite) {
+      // The rewrite strategy evaluates its Aux relations statement-locally,
+      // at the pinned snapshot; the cursor replays the materialized rows.
+      Result<ResultTable> result =
+          ExecuteViaRewrite(session, *view.select, view.preference);
+      if (result.ok()) {
+        FlushBatchExecStats(qctx.get(), stats);
+        SnapshotCacheCounters(session);
+        return MaterializedCursor(std::move(*result), &session,
+                                  std::move(keepalive));
+      }
+      if (!result.status().IsNotImplemented()) return result.status();
+      // Rewriter refused (e.g. non-weak-order EXPLICIT): stream via BNL.
+      stats.rewrite_fallback = true;
+    }
     Result<Cursor> cursor =
         OpenDirectCursor(session, std::move(view), std::move(lock),
                          std::move(pin), std::move(plan), qctx,
@@ -883,34 +854,45 @@ Result<ResultTable> Engine::ExecuteViaRewrite(
     Session& session, const SelectStmt& select,
     const std::shared_ptr<const CompiledPreference>& pref) {
   PreferenceQueryStats& stats = session.mutable_last_stats();
+  QueryContext* ctx = CurrentQueryContext();
+  if (ctx == nullptr) {
+    return Status::Internal("rewrite evaluation outside a statement context");
+  }
   AnalyzedPreferenceQuery analyzed(&select, pref);
   PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(select));
   PSQL_RETURN_IF_ERROR(
       ValidatePreferenceColumns(analyzed.preference(), base_columns));
-  std::string aux_name =
-      "_prefsql_aux_" + std::to_string(aux_counter_.fetch_add(1) + 1);
   PSQL_ASSIGN_OR_RETURN(
       RewriteOutput rewritten,
       RewritePreferenceQuery(analyzed, base_columns,
-                             session.options().but_only_mode, aux_name));
-  // The transient Aux views must not churn the catalog version — cached
-  // preparations do not depend on them.
-  ScopedVersionBumpSuppression suppress(&db_.catalog());
+                             session.options().but_only_mode, kAuxRelation));
+  // The script's CREATE VIEWs become statement-local relations: each body
+  // is materialized once, in order (the BUT ONLY pre-filter view reads
+  // Aux), and the main query resolves their names before the catalog. The
+  // catalog is never touched, so the DROP VIEW teardown has nothing to do.
   for (const auto& st : rewritten.setup) {
-    PSQL_ASSIGN_OR_RETURN(ResultTable ignored, db_.ExecuteStatement(st));
-    (void)ignored;
+    PSQL_ASSIGN_OR_RETURN(ResultTable relation, db_.ExecuteSelect(*st.select));
+    ctx->PutRelation(st.name,
+                     std::make_shared<const ResultTable>(std::move(relation)));
   }
-  auto result = db_.ExecuteSelect(*rewritten.query);
-  if (!session.options().keep_aux_views) {
-    for (const auto& st : rewritten.teardown) {
-      auto drop = db_.ExecuteStatement(st);
-      if (!drop.ok() && result.ok()) return drop.status();
-    }
-  }
-  PSQL_RETURN_IF_ERROR(result.status());
+  PSQL_ASSIGN_OR_RETURN(ResultTable result,
+                        db_.ExecuteSelect(*rewritten.query));
   stats.used_rewrite = true;
-  stats.result_count = result->num_rows();
+  stats.result_count = result.num_rows();
   return result;
+}
+
+Result<ResultTable> Engine::EvaluatePreferenceRows(Session& session,
+                                                   const SelectStmt& select) {
+  PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(select));
+  PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*expanded));
+  if (session.options().mode == EvaluationMode::kRewrite) {
+    auto result = ExecuteViaRewrite(session, *expanded, analyzed.pref);
+    if (result.ok() || !result.status().IsNotImplemented()) return result;
+    // Rewriter refused (e.g. non-weak-order EXPLICIT): fall back.
+    session.mutable_last_stats().rewrite_fallback = true;
+  }
+  return ExecuteDirect(session, *expanded, analyzed.pref);
 }
 
 Result<ResultTable> Engine::ExecuteDirect(
@@ -1072,8 +1054,8 @@ void Engine::SnapshotCacheCounters(Session& session) {
 namespace {
 
 // Maintenance reuses the block dominance kernels at full dispatch width
-// (it runs under the exclusive statement lock, so there is no per-session
-// simd knob to honor).
+// (it runs on behalf of every session that reads the entry, so there is no
+// per-session simd knob to honor).
 SimdVariant MaintenanceSimd(const DominanceProgram& prog) {
   return prog.kernel() == DominanceKernel::kGeneric ? SimdVariant::kScalar
                                                     : DispatchedSimdVariant();
@@ -1338,12 +1320,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
       PSQL_ASSIGN_OR_RETURN(options.preference_pushdown,
                             SetValueAsBool(v, knob));
     }
-  } else if (knob == "keep_aux_views") {
-    if (reset) {
-      options.keep_aux_views = defaults.keep_aux_views;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.keep_aux_views, SetValueAsBool(v, knob));
-    }
   } else if (knob == "plan_cache") {
     if (reset) {
       options.plan_cache = defaults.plan_cache;
@@ -1473,10 +1449,9 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
         "unknown setting '" + stmt.name +
         "' (known: evaluation_mode, bmo_algorithm, bmo_threads, "
         "parallel_min_rows, preference_pushdown, bnl_window, but_only_mode, "
-        "keep_aux_views, plan_cache, auto_parameterize, key_cache, "
-        "skyline_cache, simd, mvcc_gc, mvcc_gc_background, "
-        "statement_timeout_ms, vectorized_execution, "
-        "statement_memory_bytes, engine_memory_bytes)");
+        "plan_cache, auto_parameterize, key_cache, skyline_cache, simd, "
+        "mvcc_gc, mvcc_gc_background, statement_timeout_ms, "
+        "vectorized_execution, statement_memory_bytes, engine_memory_bytes)");
   }
 
   // Echo the effective value so scripts/shell users see what stuck.
@@ -1489,8 +1464,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
     effective = std::to_string(options.bnl_window);
   } else if (knob == "preference_pushdown") {
     effective = options.preference_pushdown ? "on" : "off";
-  } else if (knob == "keep_aux_views") {
-    effective = options.keep_aux_views ? "on" : "off";
   } else if (knob == "plan_cache") {
     effective = options.plan_cache ? "on" : "off";
   } else if (knob == "auto_parameterize") {

@@ -15,10 +15,10 @@
 // scans by visibility at that snapshot. Two locks coordinate the rest:
 //
 //   * `mutex_` (shared_mutex) — the DDL lock. Readers AND DML writers hold
-//     it shared; only structural statements take it exclusively: DDL
-//     (CREATE/DROP move the catalog), rewrite-mode preference queries
-//     (transient Aux views), INSERT ... SELECT PREFERRING, and the
-//     opportunistic version GC (which must observe no active pins).
+//     it shared — rewrite-mode preference queries and INSERT ... SELECT
+//     PREFERRING included, since their Aux relations are statement-local.
+//     Only DDL (CREATE/DROP move the catalog) and the version GC (which
+//     must observe no active pins) take it exclusively.
 //   * `writer_mutex_` (mutex) — serializes DML statements and the
 //     post-statement cache maintenance/sweep that runs with them.
 //
@@ -246,15 +246,22 @@ class Engine {
       const CachedPlan& plan, const std::vector<Value>* params,
       const std::vector<uint32_t>* widths = nullptr);
 
-  /// Preference SELECT via the §3.2 rewrite strategy; caller must hold the
-  /// lock exclusively (the Aux views are created in the shared catalog).
+  /// Preference SELECT via the §3.2 rewrite strategy. The Aux relations
+  /// are statement-local (bound in the current QueryContext), so the caller
+  /// holds the lock shared, like any other reader.
   Result<ResultTable> ExecuteViaRewrite(
       Session& session, const SelectStmt& select,
       const std::shared_ptr<const CompiledPreference>& pref);
 
-  /// Materialized direct evaluation for exclusive-lock contexts
-  /// (INSERT ... SELECT PREFERRING); the shared-lock path streams through
-  /// OpenDirectCursor instead.
+  /// The BMO rows of an INSERT ... SELECT PREFERRING: expands and compiles
+  /// `select`, then evaluates it in the session's mode (rewrite, falling
+  /// back to the direct path when the rewriter refuses). Caller holds the
+  /// DDL lock shared and the writer mutex.
+  Result<ResultTable> EvaluatePreferenceRows(Session& session,
+                                             const SelectStmt& select);
+
+  /// Materialized direct evaluation (INSERT ... SELECT PREFERRING); a
+  /// SELECT streams through OpenDirectCursor instead.
   Result<ResultTable> ExecuteDirect(
       Session& session, const SelectStmt& select,
       const std::shared_ptr<const CompiledPreference>& pref);
@@ -295,8 +302,8 @@ class Engine {
   /// Carries skyline-cache entries of the table the last DML statement
   /// touched to its new version (incremental maintenance; see the file
   /// comment). Runs before SweepCaches so the maintained entries are keyed
-  /// live when the sweep reclaims their predecessors. Caller must hold the
-  /// lock exclusively.
+  /// live when the sweep reclaims their predecessors. Caller must hold
+  /// writer_mutex_ or the DDL lock exclusively.
   void MaintainSkylineCaches();
 
   /// Reclaims cache entries no active or future snapshot can reach: an
@@ -345,15 +352,14 @@ class Engine {
   static uint64_t KnobFingerprint(const ConnectionOptions& options);
 
   Database db_;
-  /// The DDL lock: readers and DML writers share it, structural statements
-  /// and GC take it exclusively; see file comment.
+  /// The DDL lock: readers and DML writers share it, DDL and GC take it
+  /// exclusively; see file comment.
   std::shared_mutex mutex_;
   /// Serializes DML statements and their cache maintenance/sweep.
   std::mutex writer_mutex_;
   PlanCache plan_cache_;
   SkylineCache key_cache_;
   FilterCache filter_cache_;
-  std::atomic<uint64_t> aux_counter_{0};
 
   /// Engine-wide statement-buffer budget (`SET engine_memory_bytes`).
   MemoryBudget engine_budget_;

@@ -100,7 +100,7 @@ Result<Cursor> PreparedStatement::Open() {
                                        keepalive_);
   }
   // Not plan-cached (DML / DDL / SET): instantiate the AST with the bound
-  // values and run it through the statement path (exclusive lock).
+  // values and run it through the statement path.
   Statement bound = stmt_->Clone();
   if (const std::vector<Value>* values = BoundValues()) {
     PSQL_RETURN_IF_ERROR(

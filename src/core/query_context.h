@@ -17,6 +17,11 @@
 // execution; code that wants to cooperate asks CurrentQueryContext().
 // Worker threads in bmo_parallel receive the context explicitly through
 // BmoOptions instead (the thread-local does not cross pool threads).
+//
+// The context also carries the statement's local relations: materialized
+// results the planner resolves by name before it looks in the catalog. The
+// rewrite strategy's Aux relations live there, and so does each user view
+// the statement reads, materialized once at the statement's snapshot.
 
 #pragma once
 
@@ -24,11 +29,15 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "types/result_table.h"
 #include "util/memory_budget.h"
+#include "util/string_util.h"
 #include "util/status.h"
 
 namespace prefsql {
@@ -182,6 +191,23 @@ class QueryContext {
   BatchExecStats& batch_stats() { return batch_stats_; }
   const BatchExecStats& batch_stats() const { return batch_stats_; }
 
+  /// The statement-local relation named `name` (case-insensitive), or null.
+  /// Planner::PlanTableRef consults this before the catalog. Unsynchronized
+  /// like batch_stats(): only the thread pulling the statement's tree plans
+  /// against it.
+  std::shared_ptr<const ResultTable> FindRelation(
+      const std::string& name) const {
+    if (relations_.empty()) return nullptr;
+    auto it = relations_.find(ToLower(name));
+    return it == relations_.end() ? nullptr : it->second;
+  }
+  /// Binds `name` to `relation` for the rest of this statement; no other
+  /// statement ever sees it.
+  void PutRelation(const std::string& name,
+                   std::shared_ptr<const ResultTable> relation) {
+    relations_[ToLower(name)] = std::move(relation);
+  }
+
  private:
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
@@ -195,6 +221,8 @@ class QueryContext {
   std::function<void(uint64_t)> pressure_relief_;
   bool vectorized_ = true;
   BatchExecStats batch_stats_;
+  std::unordered_map<std::string, std::shared_ptr<const ResultTable>>
+      relations_;
 };
 
 namespace query_context_internal {

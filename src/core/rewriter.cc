@@ -233,7 +233,6 @@ Result<RewriteOutput> RewritePreferenceQuery(
       MakeLevelColumnNames(pref.num_leaves(), base_columns);
 
   RewriteOutput out;
-  out.aux_view_name = aux_view_name;
 
   // --- Aux view: SELECT *, <score exprs> FROM <from> WHERE <where> --------
   auto aux_select = std::make_shared<SelectStmt>();

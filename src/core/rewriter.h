@@ -14,7 +14,10 @@
 //
 // Every generated construct (views, CASE, correlated NOT EXISTS, scalar
 // MIN/MAX subqueries) is SQL92 entry level, so the output runs on any
-// compliant host database — here, on src/engine.
+// compliant host database — here, on src/engine. The engine itself does not
+// run the script verbatim: it materializes each CREATE VIEW body as a
+// statement-local relation (Engine::ExecuteViaRewrite), so the catalog is
+// never touched; the full script is what EXPLAIN and RewriteToSql print.
 
 #pragma once
 
@@ -36,8 +39,6 @@ struct RewriteOutput {
   std::shared_ptr<SelectStmt> query;
   /// DROP VIEW statements to run afterwards.
   std::vector<Statement> teardown;
-  /// Name of the generated Aux view.
-  std::string aux_view_name;
 
   /// The full script as SQL text (setup; query; teardown) — what the paper
   /// §3.2 prints.

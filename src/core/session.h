@@ -49,8 +49,6 @@ struct ConnectionOptions {
   std::optional<BmoAlgorithm> bmo_algorithm;
   /// BNL window capacity (tuples); 0 = unbounded.
   size_t bnl_window = 0;
-  /// Keep the generated Aux views after a rewritten query (debugging).
-  bool keep_aux_views = false;
   /// Worker threads of the parallel partitioned BMO (direct path);
   /// 0/1 = serial.
   size_t bmo_threads = 0;
@@ -144,7 +142,7 @@ struct PreferenceQueryStats {
   uint64_t skyline_maintenance_events = 0;
   uint64_t skyline_invalidations = 0;
   // MVCC observability. `pinned_epoch` is the snapshot this statement
-  // pinned (0 = the statement did not pin — DML, DDL, rewrite mode); the
+  // pinned (0 = the statement did not pin — DML, DDL); the
   // version/GC counters are cumulative engine-wide totals snapshotted
   // after the statement, like the eviction counters above.
   uint64_t pinned_epoch = 0;

@@ -1,5 +1,6 @@
 #include "engine/database.h"
 
+#include "core/query_context.h"
 #include "sql/parser.h"
 
 namespace prefsql {
@@ -24,14 +25,28 @@ Result<ResultTable> Database::ExecuteScript(const std::string& sql) {
   return last;
 }
 
+namespace {
+
+// Runs `run` inside the caller's statement context, or inside a fresh one
+// when the caller has none, so the statement's view materializations live
+// exactly as long as the statement.
+template <typename Fn>
+Result<ResultTable> InStatementContext(Fn run) {
+  if (CurrentQueryContext() != nullptr) return run();
+  QueryContext local;
+  ScopedQueryContext scope(&local);
+  return run();
+}
+
+}  // namespace
+
 Result<ResultTable> Database::ExecuteStatement(const Statement& stmt) {
-  executor_->ClearStatementCache();
-  return executor_->ExecuteStatement(stmt);
+  return InStatementContext(
+      [&] { return executor_->ExecuteStatement(stmt); });
 }
 
 Result<ResultTable> Database::ExecuteSelect(const SelectStmt& select) {
-  executor_->ClearStatementCache();
-  return executor_->ExecuteSelect(select);
+  return InStatementContext([&] { return executor_->ExecuteSelect(select); });
 }
 
 }  // namespace prefsql

@@ -101,24 +101,6 @@ Result<ResultTable> Executor::MaterializeCandidates(const SelectStmt& select) {
   return DrainToTable(*plan);
 }
 
-Result<std::shared_ptr<ResultTable>> Executor::MaterializeViewCached(
-    const std::string& name) {
-  std::string key = ToLower(name);
-  {
-    std::lock_guard<std::mutex> lock(view_cache_mutex_);
-    auto it = view_cache_.find(key);
-    if (it != view_cache_.end()) return it->second;
-  }
-  // Materialize outside the lock: nested views re-enter this function, and
-  // duplicated work between two concurrent readers is harmless.
-  PSQL_ASSIGN_OR_RETURN(auto def, catalog_->GetView(name));
-  PSQL_ASSIGN_OR_RETURN(ResultTable rt, ExecuteSelect(*def, nullptr));
-  auto materialized = std::make_shared<ResultTable>(std::move(rt));
-  std::lock_guard<std::mutex> lock(view_cache_mutex_);
-  view_cache_[key] = materialized;
-  return materialized;
-}
-
 namespace {
 
 // One DML statement = one commit epoch. The writer allocates the epoch up

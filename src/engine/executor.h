@@ -2,17 +2,15 @@
 // operator tree (engine/planner.h + engine/operators/) and stream row views
 // instead of materializing every stage; DML and DDL execute here directly.
 //
-// Views referenced several times inside one statement (the rewriter's Aux
-// view appears as A1 and A2) are materialized once per top-level statement
-// via a cache.
+// A view referenced several times inside one statement is materialized once,
+// into the statement's QueryContext (core/query_context.h), which the
+// planner consults before the catalog. Nothing outlives the statement.
 
 #pragma once
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/evaluator.h"
@@ -67,17 +65,6 @@ class Executor : public SubqueryRunner {
   Result<ResultTable> InsertTable(const std::string& table,
                                   const std::vector<std::string>& columns,
                                   const ResultTable& data);
-
-  /// Materializes a view once per top-level statement (planner access path).
-  Result<std::shared_ptr<ResultTable>> MaterializeViewCached(
-      const std::string& name);
-
-  /// Drops per-statement caches (view materializations). Called by the
-  /// Database facade between top-level statements.
-  void ClearStatementCache() {
-    std::lock_guard<std::mutex> lock(view_cache_mutex_);
-    view_cache_.clear();
-  }
 
   Catalog* catalog() { return catalog_; }
 
@@ -140,10 +127,6 @@ class Executor : public SubqueryRunner {
 
   Catalog* catalog_;
   DmlEffect last_dml_;
-  /// Guards view_cache_ against concurrent reader sessions; entries are
-  /// shared_ptr so a concurrent clear never invalidates an in-flight read.
-  std::mutex view_cache_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<ResultTable>> view_cache_;
   Stats stats_;
 };
 

@@ -7,7 +7,7 @@
 namespace prefsql {
 
 SeqScanOperator::SeqScanOperator(Schema schema, const std::vector<Row>* rows,
-                                 std::shared_ptr<ResultTable> keepalive)
+                                 std::shared_ptr<const ResultTable> keepalive)
     : schema_(std::move(schema)),
       rows_(rows),
       keepalive_(std::move(keepalive)) {}

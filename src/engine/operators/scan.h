@@ -21,13 +21,13 @@ struct MvccScanCounters {
 };
 
 /// Scans a row vector in order. The vector is either borrowed (base-table
-/// heap, cached view — optionally pinned via `keepalive`) or owned (FROM
-/// subquery materialization).
+/// heap, statement-local relation — optionally pinned via `keepalive`) or
+/// owned (FROM subquery materialization).
 class SeqScanOperator : public PhysicalOperator {
  public:
-  /// Borrowing scan; `keepalive` may pin a shared view materialization.
+  /// Borrowing scan; `keepalive` may pin a statement-local relation.
   SeqScanOperator(Schema schema, const std::vector<Row>* rows,
-                  std::shared_ptr<ResultTable> keepalive = nullptr);
+                  std::shared_ptr<const ResultTable> keepalive = nullptr);
 
   /// Owning scan over a materialized result.
   SeqScanOperator(Schema schema, ResultTable owned);
@@ -43,7 +43,7 @@ class SeqScanOperator : public PhysicalOperator {
   Schema schema_;
   ResultTable owned_;
   const std::vector<Row>* rows_;
-  std::shared_ptr<ResultTable> keepalive_;
+  std::shared_ptr<const ResultTable> keepalive_;
   size_t pos_ = 0;
 };
 

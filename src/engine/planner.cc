@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/query_context.h"
 #include "engine/aggregates.h"
 #include "engine/executor.h"
 #include "engine/operators/aggregate.h"
@@ -370,25 +371,40 @@ Result<OperatorPtr> Planner::PlanTableRef(const TableRef& tr,
   switch (tr.kind) {
     case TableRef::Kind::kTable: {
       std::string visible = tr.alias.empty() ? tr.table_name : tr.alias;
-      Catalog* catalog = executor_->catalog();
-      if (catalog->HasTable(tr.table_name)) {
-        PSQL_ASSIGN_OR_RETURN(Table * table, catalog->GetTable(tr.table_name));
-        // Scan the version heap at the statement's snapshot; the slot bound
-        // is the heap size that snapshot's table version sealed, so rows a
-        // concurrent writer appends later are out of range by construction.
-        uint64_t snap = AmbientSnapshotOr(table->epochs().current());
-        return OperatorPtr(std::make_unique<HeapScanOperator>(
-            table->schema().WithQualifier(visible), &table->heap(),
-            table->HeapSizeAt(snap), snap, executor_->mvcc_counters()));
+      // Statement-local relations shadow the catalog: the rewrite strategy's
+      // Aux relations, and views this statement already materialized.
+      QueryContext* ctx = CurrentQueryContext();
+      std::shared_ptr<const ResultTable> relation =
+          ctx != nullptr ? ctx->FindRelation(tr.table_name) : nullptr;
+      if (relation == nullptr) {
+        Catalog* catalog = executor_->catalog();
+        if (catalog->HasTable(tr.table_name)) {
+          PSQL_ASSIGN_OR_RETURN(Table * table,
+                                catalog->GetTable(tr.table_name));
+          // Scan the version heap at the statement's snapshot; the slot
+          // bound is the heap size that snapshot's table version sealed, so
+          // rows a concurrent writer appends later are out of range by
+          // construction.
+          uint64_t snap = AmbientSnapshotOr(table->epochs().current());
+          return OperatorPtr(std::make_unique<HeapScanOperator>(
+              table->schema().WithQualifier(visible), &table->heap(),
+              table->HeapSizeAt(snap), snap, executor_->mvcc_counters()));
+        }
+        if (!catalog->HasView(tr.table_name)) {
+          return Status::NotFound("no table or view '" + tr.table_name + "'");
+        }
+        // A view is materialized at the statement's snapshot, once per
+        // statement: later references (and correlated probes planned
+        // mid-stream) resolve to the same rows through the context.
+        PSQL_ASSIGN_OR_RETURN(auto def, catalog->GetView(tr.table_name));
+        PSQL_ASSIGN_OR_RETURN(ResultTable rt,
+                              executor_->ExecuteSelect(*def, nullptr));
+        relation = std::make_shared<const ResultTable>(std::move(rt));
+        if (ctx != nullptr) ctx->PutRelation(tr.table_name, relation);
       }
-      if (catalog->HasView(tr.table_name)) {
-        PSQL_ASSIGN_OR_RETURN(auto materialized,
-                              executor_->MaterializeViewCached(tr.table_name));
-        return OperatorPtr(std::make_unique<SeqScanOperator>(
-            materialized->schema().WithQualifier(visible),
-            &materialized->rows(), materialized));
-      }
-      return Status::NotFound("no table or view '" + tr.table_name + "'");
+      return OperatorPtr(std::make_unique<SeqScanOperator>(
+          relation->schema().WithQualifier(visible), &relation->rows(),
+          relation));
     }
     case TableRef::Kind::kSubquery: {
       PSQL_ASSIGN_OR_RETURN(ResultTable rt,

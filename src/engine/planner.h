@@ -54,8 +54,9 @@ struct PushdownReport {
 
 class Planner {
  public:
-  /// The executor provides the catalog, the per-statement view cache, scan
-  /// counters, and subquery execution.
+  /// The executor provides the catalog, scan counters, and subquery
+  /// execution; statement-local relations come from the current
+  /// QueryContext.
   explicit Planner(Executor* executor) : executor_(executor) {}
 
   /// Plans a full (non-preference) SELECT pipeline.

@@ -76,12 +76,6 @@ class Catalog {
   /// engine reads it for cache keying before taking the statement lock.
   uint64_t version() const { return version_.load(std::memory_order_relaxed); }
 
-  /// Suppresses version bumps while set. The engine uses this around the
-  /// transient rewrite Aux views it creates and drops per query — they can
-  /// never affect a cached preparation, and bumping for them would flush
-  /// the plan cache on every rewrite-mode preference query.
-  void set_suppress_version_bumps(bool on) { suppress_version_bumps_ = on; }
-
  private:
   static std::string Key(const std::string& name);
 
@@ -89,11 +83,7 @@ class Catalog {
   Result<Table*> GetTableUnlocked(const std::string& name) const;
   std::vector<Index*> IndexesOnUnlocked(const std::string& table) const;
 
-  void BumpVersion() {
-    if (!suppress_version_bumps_.load(std::memory_order_relaxed)) {
-      version_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  void BumpVersion() { version_.fetch_add(1, std::memory_order_relaxed); }
 
   EpochManager epochs_;
   mutable std::shared_mutex mu_;  // guards the maps below
@@ -104,7 +94,6 @@ class Catalog {
   // index name -> table key, for IndexesOn.
   std::unordered_map<std::string, std::string> index_table_;
   std::atomic<uint64_t> version_{0};
-  std::atomic<bool> suppress_version_bumps_{false};
 };
 
 }  // namespace prefsql

@@ -17,7 +17,9 @@
 //   gc_horizon            a GC pass is skipped — garbage lingers, results
 //                         are unaffected.
 // Delay actions (epoch_publish, pool_dispatch, and optionally the above)
-// widen the race windows TSan watches.
+// widen the race windows TSan watches. The readers cover the parallel BMO,
+// the serial BNL, and the default rewrite mode's statement-local Aux
+// relations.
 //
 // When the build compiles failpoints away (PREFSQL_FAILPOINTS off), arming
 // is a registry no-op and this degenerates to a valid plain concurrency
@@ -42,7 +44,7 @@ namespace prefsql {
 namespace {
 
 constexpr int kRounds = 200;
-constexpr size_t kReaders = 2;
+constexpr size_t kReaders = 3;
 constexpr size_t kDmlPerRound = 6;
 constexpr size_t kReadsPerReader = 6;
 constexpr size_t kProbes = 2;
@@ -229,13 +231,18 @@ TEST(ChaosTest, OracleHoldsUnderInjectedFaults) {
       readers.emplace_back([&, id]() {
         Connection conn;
         conn.Attach(engine);
-        conn.options().mode = EvaluationMode::kBlockNestedLoop;
         if (id == 0) {
           // One reader drives the parallel BMO so pool_dispatch delays
           // exercise worker-dispatch skew.
+          conn.options().mode = EvaluationMode::kBlockNestedLoop;
           conn.options().bmo_threads = 4;
           conn.options().parallel_min_rows = 1;
+        } else if (id == 2) {
+          conn.options().mode = EvaluationMode::kBlockNestedLoop;
         }
+        // Reader 1 keeps the default rewrite mode: epoch_publish and
+        // writer_handoff delays widen the window in which its Aux
+        // relations are evaluated next to a committing writer.
         std::mt19937 reader_rng(0xBEEF + round * 16 + static_cast<int>(id));
         for (size_t i = 0; i < kReadsPerReader; ++i) {
           const size_t q = reader_rng() % kProbes;

@@ -44,15 +44,53 @@ TEST(ConnectionTest, AuxViewsAreCleanedUp) {
   EXPECT_FALSE(conn.database().catalog().HasView("_prefsql_aux_1"));
 }
 
-TEST(ConnectionTest, KeepAuxViewsOption) {
-  ConnectionOptions opts;
-  opts.keep_aux_views = true;
-  Connection conn(opts);
+TEST(ConnectionTest, RewriteModeSelectPinsASnapshot) {
+  Connection conn;
   ASSERT_TRUE(LoadOldtimer(conn.database()).ok());
   ASSERT_TRUE(
       conn.Execute("SELECT ident FROM oldtimer PREFERRING age AROUND 40")
           .ok());
-  EXPECT_TRUE(conn.database().catalog().HasView("_prefsql_aux_1"));
+  EXPECT_TRUE(conn.last_stats().used_rewrite);
+  EXPECT_NE(conn.last_stats().pinned_epoch, 0u);
+}
+
+TEST(ConnectionTest, RewriteModeLeavesTheCatalogUntouched) {
+  // The Aux relations are statement-local: no rewrite-mode SELECT creates
+  // a catalog view or moves the catalog version, including the BUT ONLY
+  // pre-filter relation and DISTANCE's scalar subquery over Aux.
+  Connection conn;
+  ASSERT_TRUE(LoadOldtimer(conn.database()).ok());
+  ASSERT_TRUE(conn.Execute("SET but_only_mode = prefilter").ok());
+  const Catalog& catalog = conn.database().catalog();
+  const uint64_t version = catalog.version();
+  const char* queries[] = {
+      "SELECT ident FROM oldtimer PREFERRING age AROUND 40",
+      "SELECT ident, DISTANCE(age) FROM oldtimer PREFERRING age AROUND 40",
+      "SELECT ident FROM oldtimer PREFERRING age AROUND 40 "
+      "BUT ONLY DISTANCE(age) <= 5",
+      "SELECT ident FROM oldtimer PREFERRING color = 'red' AND "
+      "LOWEST(age) BUT ONLY LEVEL(color) <= 1",
+      "SELECT ident FROM oldtimer PREFERRING HIGHEST(age) GROUPING color",
+  };
+  for (int i = 0; i < 50; ++i) {
+    const char* sql = queries[i % 5];
+    auto r = conn.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    EXPECT_TRUE(conn.last_stats().used_rewrite) << sql;
+    EXPECT_GT(r->num_rows(), 0u) << sql;
+  }
+  EXPECT_EQ(catalog.version(), version);
+  EXPECT_EQ(catalog.TableNames().size(), 1u);
+  EXPECT_FALSE(catalog.HasView("_prefsql_aux"));
+  EXPECT_FALSE(catalog.HasView("_prefsql_aux_f"));
+}
+
+TEST(ConnectionTest, KeepAuxViewsIsNotAKnob) {
+  Connection conn;
+  auto r = conn.Execute("SET keep_aux_views = on");
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("unknown setting"), std::string::npos);
 }
 
 TEST(ConnectionTest, NonRewritableExplicitFallsBackToBnl) {

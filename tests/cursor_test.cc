@@ -77,8 +77,8 @@ TEST_F(CursorTest, StreamsPreferenceQueriesInEveryDirectMode) {
 }
 
 TEST_F(CursorTest, RewriteModeRepaysMaterializedRows) {
-  // The rewrite strategy cannot hold its exclusive Aux-view section open;
-  // the cursor replays the materialized rows instead — same interface.
+  // The rewrite strategy materializes its result from statement-local Aux
+  // relations; the cursor replays those rows — same interface.
   const std::string q =
       "SELECT id FROM pts PREFERRING x AROUND 9 ORDER BY id";
   auto materialized = conn_.Execute(q);

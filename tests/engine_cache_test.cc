@@ -194,6 +194,36 @@ TEST_F(EngineCacheTest, DroppedAndRecreatedTableNeverMatchesOldKeys) {
   EXPECT_EQ(r->at(0, 0).AsText(), "new");
 }
 
+TEST(ViewMaterializationTest, ViewsSeeEveryCommittedWrite) {
+  // A view is materialized per statement, never across statements: after an
+  // INSERT ... SELECT PREFERRING into its base table, the view shows the
+  // new row in every evaluation mode.
+  for (const char* mode : {"bnl", "rewrite"}) {
+    Connection conn;
+    ASSERT_TRUE(conn.ExecuteScript(
+                        "CREATE TABLE t (x INTEGER);"
+                        "INSERT INTO t VALUES (1);"
+                        "CREATE TABLE src (x INTEGER);"
+                        "INSERT INTO src VALUES (5);"
+                        "CREATE VIEW v AS SELECT * FROM t")
+                    .ok());
+    auto before = conn.Execute("SELECT * FROM v");
+    ASSERT_TRUE(before.ok()) << mode << ": " << before.status().ToString();
+    EXPECT_EQ(before->num_rows(), 1u) << mode;
+    ASSERT_TRUE(
+        conn.Execute(std::string("SET evaluation_mode = ") + mode).ok());
+    auto insert =
+        conn.Execute("INSERT INTO t SELECT x FROM src PREFERRING LOWEST(x)");
+    ASSERT_TRUE(insert.ok()) << mode << ": " << insert.status().ToString();
+    auto table = conn.Execute("SELECT * FROM t");
+    ASSERT_TRUE(table.ok()) << mode;
+    EXPECT_EQ(table->num_rows(), 2u) << mode;
+    auto after = conn.Execute("SELECT * FROM v");
+    ASSERT_TRUE(after.ok()) << mode << ": " << after.status().ToString();
+    EXPECT_EQ(after->num_rows(), 2u) << mode;
+  }
+}
+
 TEST_F(EngineCacheTest, FilteredQueriesShareTheWholeTableKeys) {
   ASSERT_TRUE(conn_.Execute("SET evaluation_mode = bnl").ok());
   // A subquery-free WHERE is eligible in position mode: the whole-table

@@ -121,8 +121,9 @@ TEST(EngineSessionTest, ConcurrentSessionsMatchSerialReplay) {
       threads.emplace_back([&, id] {
         Connection conn;
         conn.Attach(engine);
-        // Mix evaluation strategies across sessions (rewrite mode takes the
-        // exclusive path, direct modes the shared one).
+        // Mix evaluation strategies across sessions (rewrite mode evaluates
+        // statement-local Aux relations, direct modes stream through BMO;
+        // both read at a pinned snapshot under the shared lock).
         const char* modes[] = {"rewrite", "bnl", "sfs", "bnl"};
         if (!conn.Execute("SET evaluation_mode = " +
                           std::string(modes[id % 4]))

@@ -41,7 +41,8 @@ constexpr size_t kReadsPerReader = 8;
 constexpr size_t kProbes = 2;
 
 const char* kProbeQueries[kProbes] = {
-    // Direct-path preference read (BMO + caches + MVCC heap scan).
+    // Preference read: direct path (BMO + caches + MVCC heap scan), or the
+    // rewrite strategy for the reader that keeps the default mode.
     "SELECT id, price FROM acct PREFERRING LOWEST(price)",
     // Plain visibility read: full content, not just the maximal set.
     "SELECT id, price, grp FROM acct",
@@ -190,10 +191,15 @@ TEST(MvccPropertyTest, ConcurrentReadsMatchSomeSerialPrefix) {
       readers.emplace_back([&, id]() {
         Connection conn;
         conn.Attach(engine);
-        auto set = conn.Execute("SET evaluation_mode = bnl");
-        if (!set.ok()) {
-          errors[id] = set.status().ToString();
-          return;
+        // Reader 0 keeps the default rewrite mode: its Aux relations are
+        // evaluated at a pinned snapshot while the writer and the open
+        // cursor run, so a missing pin shows up as an unmatched prefix.
+        if (id != 0) {
+          auto set = conn.Execute("SET evaluation_mode = bnl");
+          if (!set.ok()) {
+            errors[id] = set.status().ToString();
+            return;
+          }
         }
         std::mt19937 reader_rng(0xBEEF + round * 16 + static_cast<int>(id));
         for (size_t i = 0; i < kReadsPerReader; ++i) {

@@ -1,11 +1,13 @@
 // Robustness battery: statement deadlines, cooperative cancellation,
-// memory budgets, the background MVCC reclaimer, and the
-// cursor-abandoned-without-Close regression.
+// memory budgets, the background MVCC reclaimer, the
+// cursor-abandoned-without-Close regression, and rewrite-mode reads that
+// never wait for a writer.
 //
 // The deadline/cancel tests run under every golden evaluation config
 // (rewrite, serial BNL, parallel BMO, LESS, SFS with pushdown off) so a
 // regression in any one path's interrupt polling fails loudly.
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -16,6 +18,7 @@
 
 #include "core/connection.h"
 #include "core/engine.h"
+#include "util/failpoint.h"
 #include "workload/generators.h"
 
 namespace prefsql {
@@ -308,6 +311,61 @@ TEST(RobustnessTest, BackgroundReclaimerCollectsWithSessionGcOff) {
     std::this_thread::sleep_for(milliseconds(10));
   }
   EXPECT_GT(engine->background_gc_passes(), paused + 1);
+}
+
+TEST(RobustnessTest, RewriteReadDoesNotWaitForACommittingWriter) {
+#if !defined(PREFSQL_FAILPOINTS_ENABLED)
+  GTEST_SKIP() << "needs failpoints (-DPREFSQL_FAILPOINTS=ON)";
+#else
+  auto engine = std::make_shared<Engine>();
+  Connection setup;
+  setup.Attach(engine);
+  ASSERT_TRUE(setup.ExecuteScript(
+                       "CREATE TABLE pts (id INTEGER, x INTEGER);"
+                       "INSERT INTO pts VALUES (1, 3), (2, 7), (3, 9)")
+                  .ok());
+  failpoint::DisarmAll();
+  const uint64_t hits_before = failpoint::HitCount("epoch_publish");
+  ASSERT_TRUE(failpoint::ArmFromSpec("epoch_publish", "delay(300)*1"));
+
+  // The writer stalls while publishing its epoch, holding the shared DDL
+  // lock and the writer mutex.
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    Connection conn;
+    conn.Attach(engine);
+    auto r = conn.Execute("INSERT INTO pts VALUES (4, 8)");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    writer_done.store(true);
+  });
+  const auto stall_deadline = steady_clock::now() + std::chrono::seconds(10);
+  while (failpoint::HitCount("epoch_publish") == hits_before &&
+         steady_clock::now() < stall_deadline) {
+    std::this_thread::yield();
+  }
+  const bool writer_stalled =
+      failpoint::HitCount("epoch_publish") != hits_before;
+
+  // A rewrite-mode read is an ordinary reader: it returns before the
+  // writer does, with the pre-insert snapshot's answer.
+  Connection reader;
+  reader.Attach(engine);
+  auto r = reader.Execute("SELECT id FROM pts PREFERRING x AROUND 8 "
+                          "ORDER BY id");
+  const bool writer_finished_first = writer_done.load();
+  writer.join();
+  failpoint::DisarmAll();
+
+  ASSERT_TRUE(writer_stalled);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(reader.last_stats().used_rewrite);
+  EXPECT_NE(reader.last_stats().pinned_epoch, 0u);
+  EXPECT_FALSE(writer_finished_first)
+      << "the rewrite-mode read waited for the writer";
+  ASSERT_EQ(r->num_rows(), 2u);
+  EXPECT_EQ(r->at(0, 0).AsInt(), 2);
+  EXPECT_EQ(r->at(1, 0).AsInt(), 3);
+#endif
 }
 
 TEST(RobustnessTest, TimeoutKnobRoundTripsThroughSet) {
