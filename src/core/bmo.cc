@@ -255,16 +255,6 @@ std::vector<size_t> LessSkyline(const DominanceProgram& prog,
   return SortFilterSkyline(prog, keys, survivors, simd, ctx, stats);
 }
 
-// The variant the inner loops run with: the block path only exists for the
-// packed kernels, and the session knob can force row-at-a-time.
-SimdVariant EffectiveSimd(const DominanceProgram& prog,
-                          const BmoOptions& options) {
-  if (!options.simd || prog.kernel() == DominanceKernel::kGeneric) {
-    return SimdVariant::kScalar;
-  }
-  return DispatchedSimdVariant();
-}
-
 }  // namespace
 
 std::vector<size_t> ComputeBmoTopK(const CompiledPreference& pref,
@@ -273,7 +263,7 @@ std::vector<size_t> ComputeBmoTopK(const CompiledPreference& pref,
                                    size_t k, const BmoOptions& options,
                                    BmoStats* stats) {
   const DominanceProgram& prog = pref.program();
-  SimdVariant simd = EffectiveSimd(prog, options);
+  SimdVariant simd = prog.simd_variant();
   if (stats != nullptr) {
     stats->kernel = prog.kernel();
     stats->simd = simd;
@@ -342,7 +332,7 @@ std::vector<size_t> ComputeBmo(const CompiledPreference& pref,
                                std::span<const size_t> candidates,
                                const BmoOptions& options, BmoStats* stats) {
   const DominanceProgram& prog = pref.program();
-  SimdVariant simd = EffectiveSimd(prog, options);
+  SimdVariant simd = prog.simd_variant();
   if (stats != nullptr) {
     stats->kernel = prog.kernel();
     stats->simd = simd;

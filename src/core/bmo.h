@@ -57,9 +57,6 @@ struct BmoOptions {
   size_t bnl_window = 0;
   /// LESS elimination-filter window capacity in tuples.
   size_t less_window = 32;
-  /// Run the packed kernels through the block SIMD/unrolled path
-  /// (DispatchedSimdVariant decides which); off forces row-at-a-time.
-  bool simd = true;
   /// Cooperative-interrupt context, polled every kInterruptStride tuples.
   /// On an interrupt the algorithms bail out returning a partial (garbage)
   /// result; the caller must check ctx->interrupted() and discard it. Passed
@@ -77,8 +74,8 @@ struct BmoStats {
   uint64_t key_build_ns = 0;
   /// Dominance kernel the preference's compiled program dispatched to.
   DominanceKernel kernel = DominanceKernel::kGeneric;
-  /// Block-walk variant the inner loops ran with (scalar for the generic
-  /// kernel or when BmoOptions::simd is off).
+  /// Block-walk variant the inner loops ran with (DispatchedSimdVariant;
+  /// scalar for the generic kernel).
   SimdVariant simd = SimdVariant::kScalar;
 };
 

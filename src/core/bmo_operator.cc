@@ -9,6 +9,23 @@
 
 namespace prefsql {
 
+namespace {
+
+// True iff no slot repeats. Heap scans pull slots strictly ascending, which
+// one pass proves; any other order is checked on a sorted copy.
+bool AllDistinct(const std::vector<size_t>& slots) {
+  auto repeat_or_descent = [](size_t a, size_t b) { return a >= b; };
+  if (std::adjacent_find(slots.begin(), slots.end(), repeat_or_descent) ==
+      slots.end()) {
+    return true;
+  }
+  std::vector<size_t> sorted = slots;
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
+}  // namespace
+
 std::string BmoQualityColumnName(QualityFn fn, size_t leaf) {
   const char* tag = fn == QualityFn::kTop     ? "top"
                     : fn == QualityFn::kLevel ? "level"
@@ -56,33 +73,16 @@ Status BmoOperator::Open() {
   config_.bmo.ctx = qctx;
 
   // 1. Pull the candidate stream. Base-table rows stay borrowed (no tuple
-  //    copies between scan and BMO). In batch mode the scan/filter subtree
-  //    hands over ~1k rows per virtual call — one MVCC visibility sweep and
-  //    one interrupt check per batch — so the key build and the SIMD
-  //    dominance kernels below see the candidates at feed, not pull, speed.
-  if (BatchModeEnabled()) {
-    RowBatch batch;
-    while (true) {
-      if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
-      PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(&batch));
-      if (!more) break;
-      if (qctx != nullptr) qctx->batch_stats().Record(batch.sel.size());
-      run_stats_.candidate_count += batch.sel.size();
-      for (uint32_t idx : batch.sel) {
-        rows_.push_back(std::move(batch.rows[idx]));
-      }
-    }
-  } else {
-    RowRef ref;
-    size_t tick = 0;
-    while (true) {
-      PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-      PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&ref));
-      if (!more) break;
-      ++run_stats_.candidate_count;
-      rows_.push_back(std::move(ref));
-    }
-  }
+  //    copies between scan and BMO). The scan/filter subtree hands over ~1k
+  //    rows per virtual call — one MVCC visibility sweep and one interrupt
+  //    check per batch — so the key build and the SIMD dominance kernels
+  //    below see the candidates at feed, not pull, speed.
+  PSQL_RETURN_IF_ERROR(ForEachBatch(*child_, [&](RowBatch& batch) -> Status {
+    if (qctx != nullptr) qctx->batch_stats().Record(batch.sel.size());
+    run_stats_.candidate_count += batch.sel.size();
+    for (uint32_t idx : batch.sel) rows_.push_back(std::move(batch.rows[idx]));
+    return Status::OK();
+  }));
   const size_t n = rows_.size();
 
   // 1b. Position mode: recover each pulled row's heap slot by pointer
@@ -105,16 +105,8 @@ Status BmoOperator::Open() {
       }
       positions_.push_back(*slot);
     }
-    if (ok) {
-      local_of_.reserve(n);
-      for (size_t i = 0; i < n && ok; ++i) {
-        ok = local_of_.emplace(positions_[i], i).second;
-      }
-    }
-    if (!ok) {
-      positions_.clear();
-      local_of_.clear();
-    }
+    if (ok) ok = AllDistinct(positions_);
+    if (!ok) positions_.clear();
     use_positions_ = ok;
     if (use_positions_ && config_.filter_cache != nullptr) {
       if (qctx != nullptr) PSQL_RETURN_IF_ERROR(qctx->CheckInterrupt());
@@ -152,7 +144,6 @@ Status BmoOperator::Open() {
     } else if (use_positions_ && config_.filtered && 2 * n < key_rows) {
       use_positions_ = false;
       positions_.clear();
-      local_of_.clear();
       publish_keys = false;
       run_stats_.key_cache_detail =
           "key cache: miss, keyed " + std::to_string(n) + " of " +
@@ -160,6 +151,11 @@ Status BmoOperator::Open() {
           " slots (candidates only, not published)";
       key_rows = n;
     }
+  }
+  // Position mode survived the key decision: map slots back to pulled rows.
+  if (use_positions_) {
+    local_of_.reserve(n);
+    for (size_t i = 0; i < n; ++i) local_of_.emplace(positions_[i], i);
   }
   // Candidate id of pulled row i: its heap slot in position mode (an index
   // into the whole-table KeyStore), the pulled index otherwise.
@@ -394,22 +390,10 @@ Result<bool> BmoOperator::PassesButOnly(size_t id) {
   return EvaluatePredicate(*config_.but_only, ctx);
 }
 
-Result<bool> BmoOperator::Next(RowRef* out) {
-  if (pos_ >= survivors_.size()) return false;
-  size_t id = survivors_[pos_++];
-  if (config_.emit_quality_columns) {
-    *out = RowRef::Owned(BuildAugmentedRow(id));
-  } else {
-    // Each survivor is emitted exactly once.
-    *out = std::move(rows_[LocalOf(id)]);
-  }
-  return true;
-}
-
 Result<bool> BmoOperator::NextBatch(RowBatch* out) {
   out->Clear();
   if (pos_ >= survivors_.size()) return false;
-  const size_t take = std::min(kRowBatchCapacity, survivors_.size() - pos_);
+  const size_t take = std::min(out->capacity, survivors_.size() - pos_);
   out->rows.reserve(take);
   out->sel.reserve(take);
   for (size_t i = 0; i < take; ++i) {

@@ -122,10 +122,10 @@ class Cursor {
     /// after this cursor opened owns last_stats now).
     PreferenceQueryStats stats;
     uint64_t stats_epoch = 0;
-    /// Batch-at-a-time pull state (vectorized mode): Next() keeps the
-    /// row-at-a-time client API by iterating the current operator batch;
-    /// `batch_pos` indexes into `batch.sel`. Borrowed refs in the batch
-    /// point into pinned storage, released with the tree on Close.
+    /// Batch pull state: Next() keeps the row-at-a-time client API by
+    /// iterating the current operator batch; `batch_pos` indexes into
+    /// `batch.sel`. Borrowed refs in the batch point into pinned storage,
+    /// released with the tree on Close.
     RowBatch batch;
     size_t batch_pos = 0;
 

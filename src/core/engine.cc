@@ -10,7 +10,6 @@
 
 #include "core/analyzer.h"
 #include "core/rewriter.h"
-#include "types/row_batch.h"
 #include "sql/normalize.h"
 #include "sql/parameters.h"
 #include "sql/parser.h"
@@ -178,7 +177,6 @@ std::shared_ptr<QueryContext> Engine::ArmStatementContext(Session& session) {
   auto ctx = std::make_shared<QueryContext>();
   const ConnectionOptions& o = session.options();
   ctx->set_deadline_ms(o.statement_timeout_ms);
-  ctx->set_vectorized(o.vectorized_execution);
   ctx->ArmStatementBudget(o.statement_memory_bytes);
   ctx->set_engine_budget(&engine_budget_);
   ctx->set_pressure_relief(
@@ -198,10 +196,8 @@ uint64_t Engine::KnobFingerprint(const ConnectionOptions& o) {
   h = FingerprintMix(h, o.parallel_min_rows);
   h = FingerprintMix(h, o.preference_pushdown ? 1 : 0);
   h = FingerprintMix(h, o.key_cache ? 1 : 0);
-  h = FingerprintMix(h, o.simd ? 1 : 0);
   h = FingerprintMix(h, o.skyline_cache ? 1 : 0);
   h = FingerprintMix(h, o.mvcc_gc ? 1 : 0);
-  h = FingerprintMix(h, o.vectorized_execution ? 1 : 0);
   return h;
 }
 
@@ -828,7 +824,6 @@ DirectEvalOptions Engine::DirectOptions(const Session& session) {
   direct.threads = options.bmo_threads;
   direct.parallel_min_rows = options.parallel_min_rows;
   direct.pushdown = options.preference_pushdown;
-  direct.bmo.simd = options.simd;
   direct.key_cache = options.key_cache ? &key_cache_ : nullptr;
   direct.filter_cache = options.key_cache ? &filter_cache_ : nullptr;
   direct.skyline_cache = options.skyline_cache;
@@ -968,12 +963,7 @@ Result<ResultTable> Engine::ExecuteExplain(
         std::string(DominanceKernelToString(
             analyzed.preference().program().kernel())) +
         ", bmo_threads=" + std::to_string(direct.threads) + ", simd=" +
-        std::string(SimdVariantToString(
-            direct.bmo.simd &&
-                    analyzed.preference().program().kernel() !=
-                        DominanceKernel::kGeneric
-                ? DispatchedSimdVariant()
-                : SimdVariant::kScalar)) +
+        SimdVariantToString(analyzed.preference().program().simd_variant()) +
         ")");
     add("-- " + pplan.pushdown_detail);
     add("-- " + pplan.key_cache_detail);
@@ -984,9 +974,6 @@ Result<ResultTable> Engine::ExecuteExplain(
         ", gc cleared " +
         std::to_string(db_.executor().stats().gc_cleared.load(
             std::memory_order_relaxed)));
-    add(std::string("-- vectorized: ") +
-        (session.options().vectorized_execution ? "on" : "off") +
-        " (batch capacity " + std::to_string(kRowBatchCapacity) + ")");
     add(plan_cache_line);
     add(SelectToSql(select));
     return ResultTable(std::move(schema), std::move(lines));
@@ -1052,14 +1039,6 @@ void Engine::SnapshotCacheCounters(Session& session) {
 // ===========================================================================
 
 namespace {
-
-// Maintenance reuses the block dominance kernels at full dispatch width
-// (it runs on behalf of every session that reads the entry, so there is no
-// per-session simd knob to honor).
-SimdVariant MaintenanceSimd(const DominanceProgram& prog) {
-  return prog.kernel() == DominanceKernel::kGeneric ? SimdVariant::kScalar
-                                                    : DispatchedSimdVariant();
-}
 
 // True iff the ascending position lists `touched` and `skyline` intersect.
 bool TouchesSkyline(const std::vector<uint32_t>& touched,
@@ -1135,7 +1114,7 @@ std::shared_ptr<const SkylineEntry> MaintainEntry(
 
   const CompiledPreference& pref = *entry->pref;
   const DominanceProgram& prog = pref.program();
-  const SimdVariant simd = MaintenanceSimd(prog);
+  const SimdVariant simd = prog.simd_variant();
   auto keys = std::make_shared<KeyStore>(*entry->keys);
   keys->Reserve(heap_now);
   for (size_t slot = dml.heap_before; slot < heap_now; ++slot) {
@@ -1345,12 +1324,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
     } else {
       PSQL_ASSIGN_OR_RETURN(options.skyline_cache, SetValueAsBool(v, knob));
     }
-  } else if (knob == "simd") {
-    if (reset) {
-      options.simd = defaults.simd;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.simd, SetValueAsBool(v, knob));
-    }
   } else if (knob == "mvcc_gc") {
     if (reset) {
       options.mvcc_gc = defaults.mvcc_gc;
@@ -1375,13 +1348,6 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
     } else {
       PSQL_ASSIGN_OR_RETURN(options.statement_timeout_ms,
                             SetValueAsSize(v, knob));
-    }
-  } else if (knob == "vectorized_execution") {
-    if (reset) {
-      options.vectorized_execution = defaults.vectorized_execution;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.vectorized_execution,
-                            SetValueAsBool(v, knob));
     }
   } else if (knob == "statement_memory_bytes") {
     if (reset) {
@@ -1449,9 +1415,9 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
         "unknown setting '" + stmt.name +
         "' (known: evaluation_mode, bmo_algorithm, bmo_threads, "
         "parallel_min_rows, preference_pushdown, bnl_window, but_only_mode, "
-        "plan_cache, auto_parameterize, key_cache, skyline_cache, simd, "
-        "mvcc_gc, mvcc_gc_background, statement_timeout_ms, "
-        "vectorized_execution, statement_memory_bytes, engine_memory_bytes)");
+        "plan_cache, auto_parameterize, key_cache, skyline_cache, mvcc_gc, "
+        "mvcc_gc_background, statement_timeout_ms, statement_memory_bytes, "
+        "engine_memory_bytes)");
   }
 
   // Echo the effective value so scripts/shell users see what stuck.
@@ -1472,16 +1438,12 @@ Result<ResultTable> Engine::ExecuteSet(Session& session,
     effective = options.key_cache ? "on" : "off";
   } else if (knob == "skyline_cache") {
     effective = options.skyline_cache ? "on" : "off";
-  } else if (knob == "simd") {
-    effective = options.simd ? "on" : "off";
   } else if (knob == "mvcc_gc") {
     effective = options.mvcc_gc ? "on" : "off";
   } else if (knob == "mvcc_gc_background") {
     effective = options.mvcc_gc_background ? "on" : "off";
   } else if (knob == "statement_timeout_ms") {
     effective = std::to_string(options.statement_timeout_ms);
-  } else if (knob == "vectorized_execution") {
-    effective = options.vectorized_execution ? "on" : "off";
   } else if (knob == "statement_memory_bytes") {
     effective = std::to_string(options.statement_memory_bytes);
   } else if (knob == "engine_memory_bytes") {

@@ -42,28 +42,18 @@
 
 namespace prefsql {
 
-/// Counters of the batch-at-a-time (vectorized) pipeline, owned by the
-/// statement's QueryContext. Drain sites (DrainToTable, Cursor refills, the
-/// BMO/sort feeds) count each root-level batch exactly once; operators that
-/// serve NextBatch through the row-loop fallback record their label so
-/// last_stats()/EXPLAIN can show which part of a tree ran unvectorized.
-/// Unsynchronized by design: the operator tree of one statement is pulled
-/// from a single thread (BMO workers receive rows, not the context).
+/// Batch counters of the pull pipeline, owned by the statement's
+/// QueryContext. Drain sites (DrainToTable, Cursor refills, the BMO/sort
+/// feeds) count each batch they consume exactly once. Unsynchronized by
+/// design: the operator tree of one statement is pulled from a single
+/// thread (BMO workers receive rows, not the context).
 struct BatchExecStats {
   uint64_t batches = 0;
   uint64_t batch_rows = 0;
-  std::vector<std::string> fallback_ops;  ///< distinct labels, first-seen order
 
   void Record(size_t rows) {
     ++batches;
     batch_rows += rows;
-  }
-
-  void RecordFallback(const char* label) {
-    for (const auto& seen : fallback_ops) {
-      if (seen == label) return;
-    }
-    fallback_ops.emplace_back(label);
   }
 };
 
@@ -182,12 +172,6 @@ class QueryContext {
     return latched_;
   }
 
-  /// Whether this statement drains its operator tree batch-at-a-time
-  /// (`SET vectorized_execution`). Read by drain sites and pipeline
-  /// breakers; the tree itself is protocol-agnostic.
-  void set_vectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
-
   BatchExecStats& batch_stats() { return batch_stats_; }
   const BatchExecStats& batch_stats() const { return batch_stats_; }
 
@@ -219,7 +203,6 @@ class QueryContext {
   MemoryBudget* statement_budget_ = nullptr;
   MemoryBudget* engine_budget_ = nullptr;
   std::function<void(uint64_t)> pressure_relief_;
-  bool vectorized_ = true;
   BatchExecStats batch_stats_;
   std::unordered_map<std::string, std::shared_ptr<const ResultTable>>
       relations_;
@@ -252,15 +235,6 @@ class ScopedQueryContext {
 /// Database/Executor use, tests).
 inline QueryContext* CurrentQueryContext() {
   return query_context_internal::TlsCurrent();
-}
-
-/// Whether the current statement should drain operator trees
-/// batch-at-a-time. Defaults to on outside any statement scope (direct
-/// Database/Executor use, tests); `SET vectorized_execution = off` pins the
-/// row-at-a-time path for the session.
-inline bool BatchModeEnabled() {
-  QueryContext* ctx = CurrentQueryContext();
-  return ctx == nullptr ? true : ctx->vectorized();
 }
 
 /// Stride-counted interrupt helper for hot loops:

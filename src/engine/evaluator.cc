@@ -468,29 +468,24 @@ BinaryOp MirrorComparisonOp(BinaryOp op) {
   }
 }
 
-// A conjunct shape the batch path can evaluate with one column resolution
-// per batch: `col OP literal` (either operand order) or `col IS [NOT]
-// NULL`. Anything else — outer-scope references (kNotFound here may resolve
-// in an outer scope), ambiguous names, unbound parameters, arbitrary
-// expressions — takes the generic per-row path, which raises the identical
-// error row mode would.
-struct FastConjunct {
-  enum class Kind { kGeneric, kColOpLit, kIsNull };
-  Kind kind = Kind::kGeneric;
-  size_t col = 0;
-  BinaryOp op = BinaryOp::kEq;
-  const Value* lit = nullptr;
-  bool negated = false;  // IS NOT NULL
-};
+}  // namespace
 
-FastConjunct ClassifyConjunct(const Expr& e, const Schema& schema) {
-  FastConjunct out;
+// A conjunct shape the batch path can evaluate with one column resolution:
+// `col OP literal` (either operand order) or `col IS [NOT] NULL`. Anything
+// else — outer-scope references (kNotFound here may resolve in an outer
+// scope), ambiguous names, unbound parameters, arbitrary expressions —
+// takes the generic per-row path, which raises the identical error row
+// evaluation would.
+BatchPredicate::Conjunct BatchPredicate::Classify(const Expr& e,
+                                                  const Schema& schema) {
+  Conjunct out;
+  out.expr = &e;
   if (e.kind == ExprKind::kIsNull && e.left != nullptr &&
       e.left->kind == ExprKind::kColumnRef) {
     size_t idx = 0;
     if (schema.ResolveScoped(e.left->qualifier, e.left->column, &idx) ==
         Schema::ResolveOutcome::kFound) {
-      out.kind = FastConjunct::Kind::kIsNull;
+      out.kind = Conjunct::Kind::kIsNull;
       out.col = idx;
       out.negated = e.negated;
     }
@@ -531,47 +526,49 @@ FastConjunct ClassifyConjunct(const Expr& e, const Schema& schema) {
       Schema::ResolveOutcome::kFound) {
     return out;
   }
-  out.kind = FastConjunct::Kind::kColOpLit;
+  out.kind = Conjunct::Kind::kColOpLit;
   out.col = idx;
   out.lit = &lit->literal;
   out.op = flipped ? MirrorComparisonOp(e.binary_op) : e.binary_op;
   return out;
 }
 
-}  // namespace
-
-Status EvaluatePredicateBatch(const Expr& expr, const Schema& schema,
-                              RowBatch* batch, const EvalContext* outer,
-                              SubqueryRunner* runner) {
+BatchPredicate::BatchPredicate(const Expr& expr, const Schema& schema)
+    : schema_(&schema) {
   std::vector<const Expr*> conjuncts;
   CollectConjuncts(expr, &conjuncts);
-  for (const Expr* c : conjuncts) {
+  conjuncts_.reserve(conjuncts.size());
+  for (const Expr* c : conjuncts) conjuncts_.push_back(Classify(*c, schema));
+}
+
+Status BatchPredicate::Filter(RowBatch* batch, const EvalContext* outer,
+                              SubqueryRunner* runner) const {
+  for (const Conjunct& c : conjuncts_) {
     // Row semantics: once a conjunct filtered every row out, the remaining
     // conjuncts see no rows and evaluate nothing.
     if (batch->sel.empty()) break;
-    const FastConjunct fast = ClassifyConjunct(*c, schema);
     size_t kept = 0;
-    switch (fast.kind) {
-      case FastConjunct::Kind::kColOpLit:
+    switch (c.kind) {
+      case Conjunct::Kind::kColOpLit:
         for (uint32_t idx : batch->sel) {
           PSQL_ASSIGN_OR_RETURN(
-              Value v, EvalComparison(fast.op, batch->rows[idx].row()[fast.col],
-                                      *fast.lit));
+              Value v,
+              EvalComparison(c.op, batch->rows[idx].row()[c.col], *c.lit));
           auto t = AsTruth(v);
           if (t && *t) batch->sel[kept++] = idx;
         }
         break;
-      case FastConjunct::Kind::kIsNull:
+      case Conjunct::Kind::kIsNull:
         for (uint32_t idx : batch->sel) {
-          if (batch->rows[idx].row()[fast.col].is_null() != fast.negated) {
+          if (batch->rows[idx].row()[c.col].is_null() != c.negated) {
             batch->sel[kept++] = idx;
           }
         }
         break;
-      case FastConjunct::Kind::kGeneric:
+      case Conjunct::Kind::kGeneric:
         for (uint32_t idx : batch->sel) {
-          EvalContext ctx{&schema, &batch->rows[idx].row(), outer, runner};
-          PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*c, ctx));
+          EvalContext ctx{schema_, &batch->rows[idx].row(), outer, runner};
+          PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*c.expr, ctx));
           if (pass) batch->sel[kept++] = idx;
         }
         break;

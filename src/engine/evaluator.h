@@ -3,6 +3,8 @@
 
 #pragma once
 
+#include <vector>
+
 #include "sql/ast.h"
 #include "types/result_table.h"
 #include "types/row_batch.h"
@@ -52,18 +54,39 @@ Result<Value> Evaluate(const Expr& expr, const EvalContext& ctx);
 /// (NULL/UNKNOWN filters out, as in a WHERE clause).
 Result<bool> EvaluatePredicate(const Expr& expr, const EvalContext& ctx);
 
-/// Batch predicate evaluation: compacts `batch->sel` in place to the rows
-/// where `expr` is TRUE. Top-level AND conjuncts run left-to-right over the
-/// surviving selection (the batch form of the row path's short-circuit
-/// AND), and `column OP literal` / `column IS [NOT] NULL` conjuncts resolve
-/// the column index once per batch instead of once per row. Everything else
-/// falls back to per-row EvaluatePredicate with `outer`/`runner` providing
-/// the correlated scope chain, so results match row mode exactly; only the
+/// A predicate prepared once for batch evaluation against a fixed input
+/// schema. Its top-level AND conjuncts run left-to-right over the surviving
+/// selection (the batch form of the row path's short-circuit AND), and
+/// `column OP literal` / `column IS [NOT] NULL` conjuncts have their column
+/// resolved at construction instead of per row. Everything else runs the
+/// per-row EvaluatePredicate with `outer`/`runner` providing the correlated
+/// scope chain, so the result equals row-at-a-time evaluation; only the
 /// order in which multiple *erroring* rows surface may differ (a conjunct
-/// sees rows already filtered by its left siblings).
-Status EvaluatePredicateBatch(const Expr& expr, const Schema& schema,
-                              RowBatch* batch, const EvalContext* outer,
-                              SubqueryRunner* runner);
+/// sees rows already filtered by its left siblings). `expr` and `schema`
+/// must outlive the object.
+class BatchPredicate {
+ public:
+  BatchPredicate(const Expr& expr, const Schema& schema);
+
+  /// Compacts `batch->sel` in place to the rows where the predicate is TRUE.
+  Status Filter(RowBatch* batch, const EvalContext* outer,
+                SubqueryRunner* runner) const;
+
+ private:
+  struct Conjunct {
+    enum class Kind { kGeneric, kColOpLit, kIsNull };
+    const Expr* expr = nullptr;
+    Kind kind = Kind::kGeneric;
+    size_t col = 0;
+    BinaryOp op = BinaryOp::kEq;
+    const Value* lit = nullptr;
+    bool negated = false;  // IS NOT NULL
+  };
+  static Conjunct Classify(const Expr& e, const Schema& schema);
+
+  const Schema* schema_;
+  std::vector<Conjunct> conjuncts_;
+};
 
 /// Evaluates a constant expression (no column refs); used for INSERT VALUES.
 Result<Value> EvaluateConstant(const Expr& expr);

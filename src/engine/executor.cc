@@ -213,8 +213,11 @@ Result<bool> Executor::SubqueryExists(const SelectStmt& select,
     plan->Close();
     return open;
   }
-  RowRef row;
-  auto more = plan->Next(&row);
+  // A one-row batch: every streaming operator below honours the capacity,
+  // so the probe reads no row past the first qualifying one.
+  RowBatch probe;
+  probe.capacity = 1;
+  auto more = plan->NextBatch(&probe);
   plan->Close();
   PSQL_RETURN_IF_ERROR(more.status());
   return *more;

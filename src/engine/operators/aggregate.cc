@@ -38,37 +38,38 @@ Status AggregateOperator::Open() {
     return groups.size() - 1;
   };
 
-  RowRef ref;
-  while (true) {
-    PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&ref));
-    if (!more) break;
-    EvalContext ctx{&child_->schema(), &ref.row(), outer_, runner_};
-    Row key;
-    key.reserve(group_by_.size());
-    for (const Expr* g : group_by_) {
-      PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*g, ctx));
-      key.push_back(std::move(v));
-    }
-    size_t h = HashRow(key);
-    size_t gidx = SIZE_MAX;
-    for (size_t cand : group_index[h]) {
-      if (RowsIdentityEqual(groups[cand].key, key)) {
-        gidx = cand;
-        break;
+  PSQL_RETURN_IF_ERROR(ForEachBatch(*child_, [&](RowBatch& batch) -> Status {
+    for (uint32_t idx : batch.sel) {
+      EvalContext ctx{&child_->schema(), &batch.rows[idx].row(), outer_,
+                      runner_};
+      Row key;
+      key.reserve(group_by_.size());
+      for (const Expr* g : group_by_) {
+        PSQL_ASSIGN_OR_RETURN(Value v, Evaluate(*g, ctx));
+        key.push_back(std::move(v));
+      }
+      size_t h = HashRow(key);
+      size_t gidx = SIZE_MAX;
+      for (size_t cand : group_index[h]) {
+        if (RowsIdentityEqual(groups[cand].key, key)) {
+          gidx = cand;
+          break;
+        }
+      }
+      if (gidx == SIZE_MAX) {
+        gidx = new_group(std::move(key));
+        group_index[h].push_back(gidx);
+      }
+      for (size_t j = 0; j < aggs_.size(); ++j) {
+        Value arg;  // NULL placeholder for COUNT(*)
+        if (kinds_[j] != AggregateKind::kCountStar) {
+          PSQL_ASSIGN_OR_RETURN(arg, Evaluate(*aggs_[j]->args[0], ctx));
+        }
+        PSQL_RETURN_IF_ERROR(groups[gidx].accs[j].Add(arg));
       }
     }
-    if (gidx == SIZE_MAX) {
-      gidx = new_group(std::move(key));
-      group_index[h].push_back(gidx);
-    }
-    for (size_t j = 0; j < aggs_.size(); ++j) {
-      Value arg;  // NULL placeholder for COUNT(*)
-      if (kinds_[j] != AggregateKind::kCountStar) {
-        PSQL_ASSIGN_OR_RETURN(arg, Evaluate(*aggs_[j]->args[0], ctx));
-      }
-      PSQL_RETURN_IF_ERROR(groups[gidx].accs[j].Add(arg));
-    }
-  }
+    return Status::OK();
+  }));
   // Scalar aggregation over an empty input still yields one group.
   if (group_by_.empty() && groups.empty()) new_group(Row{});
 
@@ -81,9 +82,12 @@ Status AggregateOperator::Open() {
   return Status::OK();
 }
 
-Result<bool> AggregateOperator::Next(RowRef* out) {
+Result<bool> AggregateOperator::NextBatch(RowBatch* out) {
+  out->Clear();
   if (pos_ >= group_rows_.size()) return false;
-  *out = RowRef::Owned(std::move(group_rows_[pos_++]));
+  while (pos_ < group_rows_.size() && !out->full()) {
+    out->PushRow(RowRef::Owned(std::move(group_rows_[pos_++])));
+  }
   return true;
 }
 

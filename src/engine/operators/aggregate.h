@@ -27,11 +27,8 @@ class AggregateOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  // Serves NextBatch through the row-loop fallback: emission is one row
-  // per group, already far below batch granularity.
-  const char* label() const override { return "aggregate"; }
 
  private:
   OperatorPtr child_;

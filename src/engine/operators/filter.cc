@@ -6,7 +6,7 @@ FilterOperator::FilterOperator(OperatorPtr child, const Expr* predicate,
                                const EvalContext* outer,
                                SubqueryRunner* runner)
     : child_(std::move(child)),
-      predicate_(predicate),
+      predicate_(*predicate, child_->schema()),
       outer_(outer),
       runner_(runner) {}
 
@@ -15,40 +15,20 @@ FilterOperator::FilterOperator(OperatorPtr child, ExprPtr predicate,
                                SubqueryRunner* runner)
     : child_(std::move(child)),
       owned_predicate_(std::move(predicate)),
-      predicate_(owned_predicate_.get()),
+      predicate_(*owned_predicate_, child_->schema()),
       outer_(outer),
       runner_(runner) {}
 
-Result<bool> FilterOperator::Next(RowRef* out) {
-  RowRef row;
-  while (true) {
-    // A selective predicate (e.g. the rewrite path's NOT EXISTS anti-join)
-    // can reject unboundedly many rows inside one pull; poll the deadline/
-    // cancel latch so the reject loop stays interruptible.
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
-    PSQL_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
-    if (!more) return false;
-    EvalContext ctx{&child_->schema(), &row.row(), outer_, runner_};
-    PSQL_ASSIGN_OR_RETURN(bool pass, EvaluatePredicate(*predicate_, ctx));
-    if (pass) {
-      *out = std::move(row);
-      return true;
-    }
-  }
-}
-
 Result<bool> FilterOperator::NextBatch(RowBatch* out) {
+  QueryContext* ctx = CurrentQueryContext();
   while (true) {
-    // One latch check per child batch replaces the stride-256 row poll; a
-    // fully-rejecting predicate keeps pulling rather than hand back an
-    // empty batch, so the check also bounds the reject loop.
-    if (QueryContext* ctx = CurrentQueryContext()) {
-      PSQL_RETURN_IF_ERROR(ctx->CheckInterrupt());
-    }
+    // One latch check per child batch; a fully-rejecting predicate (e.g.
+    // the rewrite path's NOT EXISTS anti-join) keeps pulling rather than
+    // hand back an empty batch, so the check also bounds the reject loop.
+    if (ctx != nullptr) PSQL_RETURN_IF_ERROR(ctx->CheckInterrupt());
     PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
     if (!more) return false;
-    PSQL_RETURN_IF_ERROR(EvaluatePredicateBatch(
-        *predicate_, child_->schema(), out, outer_, runner_));
+    PSQL_RETURN_IF_ERROR(predicate_.Filter(out, outer_, runner_));
     if (!out->sel.empty()) return true;
   }
 }

@@ -3,9 +3,6 @@
 
 #pragma once
 
-#include <cstddef>
-
-#include "core/query_context.h"
 #include "engine/evaluator.h"
 #include "engine/operators/operator.h"
 #include "sql/ast.h"
@@ -24,18 +21,16 @@ class FilterOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "filter"; }
 
  private:
   OperatorPtr child_;
   ExprPtr owned_predicate_;
-  const Expr* predicate_;
+  // Conjuncts split and classified once against the child schema.
+  BatchPredicate predicate_;
   const EvalContext* outer_;
   SubqueryRunner* runner_;
-  size_t tick_ = 0;  ///< interrupt-poll stride over rejected rows
 };
 
 }  // namespace prefsql

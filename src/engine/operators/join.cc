@@ -29,6 +29,23 @@ Row PadRight(const Row& left, size_t width) {
 
 }  // namespace
 
+Result<bool> JoinLeftRows::Advance(PhysicalOperator& op, size_t capacity) {
+  if (next_ >= batch_.sel.size()) {
+    batch_.capacity = capacity;
+    PSQL_ASSIGN_OR_RETURN(bool more, op.NextBatch(&batch_));
+    if (!more) return false;
+    next_ = 0;
+  }
+  row_ = &batch_.rows[batch_.sel[next_++]].row();
+  return true;
+}
+
+void JoinLeftRows::Reset() {
+  batch_.Clear();
+  next_ = 0;
+  row_ = nullptr;
+}
+
 // ===========================================================================
 // HashJoinOperator
 // ===========================================================================
@@ -57,43 +74,39 @@ Status HashJoinOperator::Open() {
   stmt_charge_.Reset();
   engine_charge_.Reset();
   QueryContext* qctx = CurrentQueryContext();
-  RowRef row;
-  size_t tick = 0;
   uint64_t pending = 0;
-  while (true) {
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    PSQL_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
-    if (!more) break;
-    if (qctx != nullptr) {
-      // Row payload + its index entry, batched to keep the atomics off the
-      // per-row path.
+  PSQL_RETURN_IF_ERROR(ForEachBatch(*right_, [&](RowBatch& batch) -> Status {
+    for (uint32_t idx : batch.sel) {
+      RowRef& row = batch.rows[idx];
+      // Row payload + its index entry; charged once per batch to keep the
+      // atomics off the per-row path.
       pending += sizeof(RowRef) + row.row().size() * sizeof(Value) +
                  2 * sizeof(size_t);
-      if (pending >= kChargeBatchBytes) {
-        PSQL_RETURN_IF_ERROR(
-            qctx->ChargeMemory(pending, &stmt_charge_, &engine_charge_));
-        pending = 0;
-      }
+      build_index_[HashRow(KeyOf(row.row(), right_keys_))].push_back(
+          build_rows_.size());
+      build_rows_.push_back(std::move(row));
     }
-    build_index_[HashRow(KeyOf(row.row(), right_keys_))].push_back(
-        build_rows_.size());
-    build_rows_.push_back(std::move(row));
-  }
+    if (qctx == nullptr || pending < kChargeBatchBytes) return Status::OK();
+    const uint64_t charge = pending;
+    pending = 0;
+    return qctx->ChargeMemory(charge, &stmt_charge_, &engine_charge_);
+  }));
   if (qctx != nullptr && pending > 0) {
     PSQL_RETURN_IF_ERROR(
         qctx->ChargeMemory(pending, &stmt_charge_, &engine_charge_));
   }
+  left_rows_.Reset();
   left_valid_ = false;
   return Status::OK();
 }
 
-Result<bool> HashJoinOperator::AdvanceLeft() {
-  PSQL_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
+Result<bool> HashJoinOperator::AdvanceLeft(size_t capacity) {
+  PSQL_ASSIGN_OR_RETURN(bool more, left_rows_.Advance(*left_, capacity));
   if (!more) return false;
   left_valid_ = true;
   left_matched_ = false;
   match_pos_ = 0;
-  left_key_ = KeyOf(left_row_.row(), left_keys_);
+  left_key_ = KeyOf(left_rows_.row(), left_keys_);
   left_key_null_ = false;
   for (const auto& v : left_key_) left_key_null_ |= v.is_null();
   auto it = build_index_.find(HashRow(left_key_));
@@ -101,47 +114,55 @@ Result<bool> HashJoinOperator::AdvanceLeft() {
   return true;
 }
 
-Result<bool> HashJoinOperator::Next(RowRef* out) {
-  while (true) {
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
-    if (!left_valid_) {
-      PSQL_ASSIGN_OR_RETURN(bool more, AdvanceLeft());
-      if (!more) return false;
-    }
-    // NULL keys never join.
-    if (matches_ != nullptr && !left_key_null_) {
-      while (match_pos_ < matches_->size()) {
-        size_t j = (*matches_)[match_pos_++];
-        const Row& right_row = build_rows_[j].row();
-        if (!RowsIdentityEqual(left_key_, KeyOf(right_row, right_keys_))) {
-          continue;
-        }
-        Row combined = ConcatRows(left_row_.row(), right_row);
-        bool pass = true;
-        EvalContext ctx{&schema_, &combined, outer_, runner_};
-        for (const Expr* e : residual_) {
-          PSQL_ASSIGN_OR_RETURN(pass, EvaluatePredicate(*e, ctx));
-          if (!pass) break;
-        }
-        if (pass) {
-          left_matched_ = true;
-          *out = RowRef::Owned(std::move(combined));
-          return true;
-        }
+Status HashJoinOperator::ProbeLeft(RowBatch* out) {
+  const Row& left_row = left_rows_.row();
+  // NULL keys never join.
+  if (matches_ != nullptr && !left_key_null_) {
+    while (match_pos_ < matches_->size()) {
+      if (out->full()) return Status::OK();
+      const Row& right_row = build_rows_[(*matches_)[match_pos_++]].row();
+      if (!RowsIdentityEqual(left_key_, KeyOf(right_row, right_keys_))) {
+        continue;
+      }
+      Row combined = ConcatRows(left_row, right_row);
+      bool pass = true;
+      EvalContext ctx{&schema_, &combined, outer_, runner_};
+      for (const Expr* e : residual_) {
+        PSQL_ASSIGN_OR_RETURN(pass, EvaluatePredicate(*e, ctx));
+        if (!pass) break;
+      }
+      if (pass) {
+        left_matched_ = true;
+        out->PushRow(RowRef::Owned(std::move(combined)));
       }
     }
-    // Left row exhausted.
-    left_valid_ = false;
-    if (left_join_ && !left_matched_) {
-      *out = RowRef::Owned(PadRight(left_row_.row(), schema_.num_columns()));
-      return true;
-    }
   }
+  // Left row exhausted.
+  if (left_join_ && !left_matched_) {
+    if (out->full()) return Status::OK();
+    out->PushRow(RowRef::Owned(PadRight(left_row, schema_.num_columns())));
+  }
+  left_valid_ = false;
+  return Status::OK();
+}
+
+Result<bool> HashJoinOperator::NextBatch(RowBatch* out) {
+  out->Clear();
+  while (!out->full()) {
+    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
+    if (!left_valid_) {
+      PSQL_ASSIGN_OR_RETURN(bool more, AdvanceLeft(out->capacity));
+      if (!more) break;
+    }
+    PSQL_RETURN_IF_ERROR(ProbeLeft(out));
+  }
+  return !out->rows.empty();
 }
 
 void HashJoinOperator::Close() {
   left_->Close();
   right_->Close();
+  left_rows_.Reset();
   build_rows_.clear();
   build_index_.clear();
   stmt_charge_.Reset();
@@ -170,31 +191,33 @@ Status NestedLoopJoinOperator::Open() {
   PSQL_RETURN_IF_ERROR(left_->Open());
   PSQL_RETURN_IF_ERROR(right_->Open());
   right_rows_.clear();
-  RowRef row;
-  size_t tick = 0;
-  while (true) {
-    PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
-    PSQL_ASSIGN_OR_RETURN(bool more, right_->Next(&row));
-    if (!more) break;
-    right_rows_.push_back(std::move(row));
-  }
+  PSQL_RETURN_IF_ERROR(ForEachBatch(*right_, [&](RowBatch& batch) -> Status {
+    for (uint32_t idx : batch.sel) {
+      right_rows_.push_back(std::move(batch.rows[idx]));
+    }
+    return Status::OK();
+  }));
+  left_rows_.Reset();
   left_valid_ = false;
   return Status::OK();
 }
 
-Result<bool> NestedLoopJoinOperator::Next(RowRef* out) {
-  while (true) {
+Result<bool> NestedLoopJoinOperator::NextBatch(RowBatch* out) {
+  out->Clear();
+  while (!out->full()) {
     if (!left_valid_) {
-      PSQL_ASSIGN_OR_RETURN(bool more, left_->Next(&left_row_));
-      if (!more) return false;
+      PSQL_ASSIGN_OR_RETURN(bool more,
+                            left_rows_.Advance(*left_, out->capacity));
+      if (!more) break;
       left_valid_ = true;
       left_matched_ = false;
       right_pos_ = 0;
     }
-    while (right_pos_ < right_rows_.size()) {
+    const Row& left_row = left_rows_.row();
+    while (right_pos_ < right_rows_.size() && !out->full()) {
       PSQL_RETURN_IF_ERROR(PollInterrupt(&tick_));
       const Row& right_row = right_rows_[right_pos_++].row();
-      Row combined = ConcatRows(left_row_.row(), right_row);
+      Row combined = ConcatRows(left_row, right_row);
       bool pass = true;
       if (join_on_ != nullptr) {
         EvalContext ctx{&schema_, &combined, outer_, runner_};
@@ -202,21 +225,24 @@ Result<bool> NestedLoopJoinOperator::Next(RowRef* out) {
       }
       if (pass) {
         left_matched_ = true;
-        *out = RowRef::Owned(std::move(combined));
-        return true;
+        out->PushRow(RowRef::Owned(std::move(combined)));
       }
     }
-    left_valid_ = false;
+    // A full batch resumes this left row (its remaining matches or its
+    // LEFT JOIN pad) in the next pull.
+    if (right_pos_ < right_rows_.size() || out->full()) break;
     if (left_join_ && !left_matched_) {
-      *out = RowRef::Owned(PadRight(left_row_.row(), schema_.num_columns()));
-      return true;
+      out->PushRow(RowRef::Owned(PadRight(left_row, schema_.num_columns())));
     }
+    left_valid_ = false;
   }
+  return !out->rows.empty();
 }
 
 void NestedLoopJoinOperator::Close() {
   left_->Close();
   right_->Close();
+  left_rows_.Reset();
   right_rows_.clear();
 }
 

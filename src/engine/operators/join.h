@@ -1,8 +1,11 @@
 // Join operators. The planner extracts equi-join keys from the ON clause
 // and picks HashJoinOperator when any exist; otherwise (CROSS JOIN, ON
 // without extractable keys, comma-list FROM) NestedLoopJoinOperator runs.
-// Both stream the left input and materialize the right at Open; LEFT JOIN
-// NULL-pads unmatched left rows.
+// Both materialize the right input at Open and stream the left one batch at
+// a time (a left batch is sized from the output batch's capacity). Output is
+// left-major with each left row's matches in build order; LEFT JOIN NULL-pads
+// an unmatched left row after its (empty) match run. A left row whose
+// matches overflow the output batch resumes in the next pull.
 
 #pragma once
 
@@ -16,6 +19,22 @@
 
 namespace prefsql {
 
+/// The left input of a join, read row by row out of its batches.
+class JoinLeftRows {
+ public:
+  /// Moves to the next row of `op`, pulling a batch of at most `capacity`
+  /// rows once the current one is used up; false at the end of `op`.
+  Result<bool> Advance(PhysicalOperator& op, size_t capacity);
+  /// The current row; valid until the next Advance or Reset.
+  const Row& row() const { return *row_; }
+  void Reset();
+
+ private:
+  RowBatch batch_;
+  size_t next_ = 0;  // index into batch_.sel
+  const Row* row_ = nullptr;
+};
+
 /// Hash join on equi-key columns with an optional residual conjunction.
 class HashJoinOperator : public PhysicalOperator {
  public:
@@ -27,14 +46,16 @@ class HashJoinOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  // Joins serve NextBatch through the row-loop fallback (probe state is
-  // inherently per-left-row); the label makes that visible in stats.
-  const char* label() const override { return "hash_join"; }
 
  private:
-  Result<bool> AdvanceLeft();
+  /// Moves to the next left row and looks up its build-side matches; false
+  /// at the end of the left input.
+  Result<bool> AdvanceLeft(size_t capacity);
+  /// Emits the current left row's join rows into `out` until it is full;
+  /// clears `left_valid_` once the row is finished (matches and pad).
+  Status ProbeLeft(RowBatch* out);
 
   OperatorPtr left_;
   OperatorPtr right_;
@@ -54,7 +75,7 @@ class HashJoinOperator : public PhysicalOperator {
   ScopedMemoryCharge engine_charge_;
 
   // Probe state for the current left row.
-  RowRef left_row_;
+  JoinLeftRows left_rows_;
   Row left_key_;
   bool left_key_null_ = false;
   const std::vector<size_t>* matches_ = nullptr;
@@ -73,9 +94,8 @@ class NestedLoopJoinOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "nl_join"; }
 
  private:
   OperatorPtr left_;
@@ -87,7 +107,7 @@ class NestedLoopJoinOperator : public PhysicalOperator {
   SubqueryRunner* runner_;
 
   std::vector<RowRef> right_rows_;
-  RowRef left_row_;
+  JoinLeftRows left_rows_;
   size_t right_pos_ = 0;
   bool left_matched_ = false;
   bool left_valid_ = false;

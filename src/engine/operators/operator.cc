@@ -1,81 +1,26 @@
 #include "engine/operators/operator.h"
 
-#include "core/query_context.h"
-
 namespace prefsql {
 
-Result<bool> PhysicalOperator::NextBatch(RowBatch* out) {
-  if (!batch_fallback_recorded_) {
-    batch_fallback_recorded_ = true;
-    if (QueryContext* ctx = CurrentQueryContext()) {
-      ctx->batch_stats().RecordFallback(label());
-    }
-  }
-  out->Clear();
-  RowRef ref;
-  while (out->rows.size() < kRowBatchCapacity) {
-    PSQL_ASSIGN_OR_RETURN(bool more, Next(&ref));
-    if (!more) break;
-    out->PushRow(std::move(ref));
-  }
-  return !out->rows.empty();
-}
-
 Result<ResultTable> DrainToTable(PhysicalOperator& op) {
-  Status open = op.Open();
-  if (!open.ok()) {
-    op.Close();
-    return open;
-  }
+  // Every eager materialization funnels through here (view
+  // materialization, rewrite-mode scripts, DML sources); the per-batch
+  // interrupt check keeps multi-hundred-thousand-row drains interruptible
+  // at ~1k-row granularity.
+  Status status = op.Open();
   std::vector<Row> rows;
-  if (BatchModeEnabled()) {
+  if (status.ok()) {
     QueryContext* ctx = CurrentQueryContext();
-    RowBatch batch;
-    while (true) {
-      // One deadline/cancel check per batch (vs the stride-256 row poll of
-      // the row loop below) keeps multi-hundred-thousand-row drains
-      // interruptible at ~1k-row granularity.
-      if (ctx != nullptr) {
-        Status interrupt = ctx->CheckInterrupt();
-        if (!interrupt.ok()) {
-          op.Close();
-          return interrupt;
-        }
-      }
-      auto more = op.NextBatch(&batch);
-      if (!more.ok()) {
-        op.Close();
-        return more.status();
-      }
-      if (!*more) break;
+    status = ForEachBatch(op, [&](RowBatch& batch) -> Status {
       if (ctx != nullptr) ctx->batch_stats().Record(batch.sel.size());
       for (uint32_t idx : batch.sel) {
         rows.push_back(std::move(batch.rows[idx]).IntoRow());
       }
-    }
-  } else {
-    RowRef ref;
-    size_t tick = 0;
-    while (true) {
-      // Every eager materialization funnels through here (view
-      // materialization, rewrite-mode scripts, DML sources); poll the
-      // deadline/cancel latch so multi-hundred-thousand-row drains stay
-      // interruptible between operator-level polls.
-      Status interrupt = PollInterrupt(&tick);
-      if (!interrupt.ok()) {
-        op.Close();
-        return interrupt;
-      }
-      auto more = op.Next(&ref);
-      if (!more.ok()) {
-        op.Close();
-        return more.status();
-      }
-      if (!*more) break;
-      rows.push_back(std::move(ref).IntoRow());
-    }
+      return Status::OK();
+    });
   }
   op.Close();
+  PSQL_RETURN_IF_ERROR(status);
   return ResultTable(op.schema(), std::move(rows));
 }
 

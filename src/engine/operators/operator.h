@@ -1,22 +1,20 @@
 // Physical operator interface: pull-based open/next/close execution (the
-// Volcano iterator model). The planner (engine/planner.h) compiles a
-// SelectStmt into a tree of these; the executor facade drains the root into
-// a ResultTable, while early-exit consumers (EXISTS probes, LIMIT) stop
-// pulling as soon as they are satisfied.
+// Volcano iterator model, one batch per pull). The planner
+// (engine/planner.h) compiles a SelectStmt into a tree of these; the
+// executor facade drains the root into a ResultTable, while early-exit
+// consumers (EXISTS probes, LIMIT) stop pulling as soon as they are
+// satisfied.
 //
-// Two pull protocols share one tree: row-at-a-time Next(RowRef*) and
-// batch-at-a-time NextBatch(RowBatch*) (types/row_batch.h). A drain site
-// picks exactly one protocol per execution — the two must never be
-// interleaved on the same operator instance. Operators without a native
-// batch implementation serve NextBatch through a row-loop fallback, so a
-// partially-vectorized tree is always correct; the fallback is recorded in
-// the statement's BatchExecStats so parity is inspectable from
-// last_stats()/EXPLAIN.
+// NextBatch(RowBatch*) (types/row_batch.h) is the only pull protocol. A
+// consumer that needs a single row — the EXISTS probe — sets the batch's
+// capacity to 1; every producer honours the capacity, so streaming
+// subtrees read no further than the rows they hand over.
 
 #pragma once
 
 #include <memory>
 
+#include "core/query_context.h"
 #include "types/result_table.h"
 #include "types/row_batch.h"
 #include "types/row_view.h"
@@ -37,30 +35,33 @@ class PhysicalOperator {
   /// BMO) consume their input here.
   virtual Status Open() = 0;
 
-  /// Produces the next row into `*out`; returns false at end of stream.
-  virtual Result<bool> Next(RowRef* out) = 0;
-
-  /// Produces the next batch of rows into `*out` (cleared first); returns
-  /// false at end of stream, true iff at least one selected row — a
-  /// filter-heavy operator keeps pulling internally rather than return an
-  /// empty batch, so callers need no empty-but-not-done handling. The base
-  /// implementation loops this operator's own Next() up to
-  /// kRowBatchCapacity with an identity selection, which also drops the
-  /// whole subtree below to row-at-a-time pulls.
-  virtual Result<bool> NextBatch(RowBatch* out);
+  /// Produces the next batch into `*out` (cleared first, `out->capacity`
+  /// kept): at most `out->capacity` rows. Returns false at end of stream,
+  /// true iff at least one selected row — a filter-heavy operator keeps
+  /// pulling internally rather than return an empty batch, so callers need
+  /// no empty-but-not-done handling.
+  virtual Result<bool> NextBatch(RowBatch* out) = 0;
 
   /// Releases per-execution state. Must be safe to call after Open failed.
   virtual void Close() = 0;
-
-  /// Short stable label for fallback/EXPLAIN reporting ("filter", "sort").
-  virtual const char* label() const { return "operator"; }
-
- private:
-  // The row-loop fallback reports itself once per instance.
-  bool batch_fallback_recorded_ = false;
 };
 
 using OperatorPtr = std::unique_ptr<PhysicalOperator>;
+
+/// Pulls the open operator `op` to its end, handing every batch to
+/// `consume(RowBatch&)` (which returns a Status). Checks the statement's
+/// deadline/cancel latch once per batch.
+template <typename Consume>
+Status ForEachBatch(PhysicalOperator& op, Consume&& consume) {
+  QueryContext* ctx = CurrentQueryContext();
+  RowBatch batch;
+  while (true) {
+    if (ctx != nullptr) PSQL_RETURN_IF_ERROR(ctx->CheckInterrupt());
+    PSQL_ASSIGN_OR_RETURN(bool more, op.NextBatch(&batch));
+    if (!more) return Status::OK();
+    PSQL_RETURN_IF_ERROR(consume(batch));
+  }
+}
 
 /// Opens, fully drains and closes `op`, materializing a ResultTable.
 Result<ResultTable> DrainToTable(PhysicalOperator& op);

@@ -23,10 +23,8 @@ class ProjectOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "project"; }
 
  private:
   OperatorPtr child_;
@@ -44,11 +42,8 @@ class DistinctOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
+  Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  // Stays on the row-loop NextBatch fallback: the dedup hash probe is
-  // per-row either way, so a native batch path would buy nothing.
-  const char* label() const override { return "distinct"; }
 
  private:
   OperatorPtr child_;
@@ -64,10 +59,8 @@ class PrefixOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return schema_; }
   Status Open() override { return child_->Open(); }
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "prefix"; }
 
  private:
   OperatorPtr child_;

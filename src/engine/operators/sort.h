@@ -25,10 +25,8 @@ class SortOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override;
-  const char* label() const override { return "sort"; }
 
  private:
   OperatorPtr child_;
@@ -49,10 +47,8 @@ class LimitOperator : public PhysicalOperator {
 
   const Schema& schema() const override { return child_->schema(); }
   Status Open() override;
-  Result<bool> Next(RowRef* out) override;
   Result<bool> NextBatch(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  const char* label() const override { return "limit"; }
 
  private:
   OperatorPtr child_;

@@ -92,6 +92,12 @@ class DominanceProgram {
                                   const std::vector<PrefLeaf>& leaves);
 
   DominanceKernel kernel() const { return kernel_; }
+  /// The block-walk variant this program runs with: the dispatched one for
+  /// the packed kernels, scalar for the generic kernel.
+  SimdVariant simd_variant() const {
+    return kernel_ == DominanceKernel::kGeneric ? SimdVariant::kScalar
+                                                : DispatchedSimdVariant();
+  }
   size_t num_ops() const { return ops_.size(); }
 
   /// Compares tuples `a` and `b` of `keys` under the full preference.

@@ -85,12 +85,18 @@ TEST(ConnectionTest, RewriteModeLeavesTheCatalogUntouched) {
   EXPECT_FALSE(catalog.HasView("_prefsql_aux_f"));
 }
 
-TEST(ConnectionTest, KeepAuxViewsIsNotAKnob) {
+// Removed knobs are rejected as unknown: Aux relations are statement-local,
+// operators pull batches only, and PREFSQL_SIMD is the one SIMD override.
+TEST(ConnectionTest, RemovedKnobsAreUnknown) {
   Connection conn;
-  auto r = conn.Execute("SET keep_aux_views = on");
-  ASSERT_FALSE(r.ok());
-  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
-  EXPECT_NE(r.status().message().find("unknown setting"), std::string::npos);
+  for (const char* knob : {"keep_aux_views", "vectorized_execution", "simd"}) {
+    auto r = conn.Execute(std::string("SET ") + knob + " = off");
+    ASSERT_FALSE(r.ok()) << knob;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    EXPECT_NE(r.status().message().find("unknown setting"),
+              std::string::npos)
+        << knob;
+  }
 }
 
 TEST(ConnectionTest, NonRewritableExplicitFallsBackToBnl) {

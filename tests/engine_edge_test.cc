@@ -60,6 +60,32 @@ TEST_F(EngineEdgeTest, CorrelatedScalarSubqueryInSelectList) {
   EXPECT_EQ(t.at(1, 1).AsInt(), 5);
 }
 
+// The EXISTS probe stops at the first qualifying row: the row x=2 of t,
+// whose scalar subquery would fail with more than one row, is never read.
+// The rewrite path's correlated NOT EXISTS (§3.2) relies on this early
+// exit for its cost, and this pins it for the semantics.
+TEST_F(EngineEdgeTest, ExistsProbeStopsAtFirstQualifyingRow) {
+  Run("CREATE TABLE t (x INTEGER)");
+  Run("CREATE TABLE u (k INTEGER, v INTEGER)");
+  Run("INSERT INTO t VALUES (1), (2)");
+  Run("INSERT INTO u VALUES (1, 10), (2, 20), (2, 21)");
+  ResultTable t = Run(
+      "SELECT 'hit' WHERE EXISTS (SELECT * FROM t WHERE "
+      "(SELECT v FROM u WHERE u.k = t.x) > 0)");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.at(0, 0).AsText(), "hit");
+  // Through a join the probe stops at the first joined row too.
+  ResultTable j = Run(
+      "SELECT 'hit' WHERE EXISTS (SELECT * FROM t JOIN t s ON s.x = t.x "
+      "WHERE (SELECT v FROM u WHERE u.k = t.x) > 0)");
+  ASSERT_EQ(j.num_rows(), 1u);
+  // Draining the same subquery does read x=2 and fails.
+  EXPECT_FALSE(conn_
+                   .Execute("SELECT x FROM t WHERE "
+                            "(SELECT v FROM u WHERE u.k = t.x) > 0")
+                   .ok());
+}
+
 TEST_F(EngineEdgeTest, PreferenceOnDateBetween) {
   Run("CREATE TABLE ev (id INTEGER, d DATE)");
   Run("INSERT INTO ev VALUES (1, '1999/6/20'), (2, '1999/7/5'), "

@@ -9,11 +9,10 @@
 //
 // Each script is additionally re-run under direct evaluation (serial),
 // direct evaluation with the parallel partitioned BMO forced on,
-// sort-filter mode with the preference pushdown disabled, direct
-// evaluation with the LESS skyline algorithm, and with batch-at-a-time
-// execution switched off — all six configurations must produce
-// byte-identical output, pinning the cross-path/cross-parallelism/
-// cross-algorithm/cross-pull-granularity equivalence the engine promises.
+// sort-filter mode with the preference pushdown disabled, and direct
+// evaluation with the LESS skyline algorithm — all five configurations
+// must produce byte-identical output, pinning the cross-path/
+// cross-parallelism/cross-algorithm equivalence the engine promises.
 //
 // Regenerate the .expected files with: PREFSQL_GOLDEN_REGEN=1 ctest -R
 // sql_golden (then review the diff like any other code change).
@@ -81,7 +80,6 @@ constexpr Variant kVariants[] = {
      "SET evaluation_mode = sfs; SET preference_pushdown = off;"},
     {"direct less",
      "SET evaluation_mode = bnl; SET bmo_algorithm = less;"},
-    {"vectorized off", "SET vectorized_execution = off;"},
 };
 
 /// Splits a script into statement texts on top-level semicolons (string

@@ -1,15 +1,20 @@
-// Batch-vs-row execution parity: every query must produce byte-identical
-// output with `vectorized_execution` on and off — across the five golden
-// engine configurations, over randomized tables that include NULL holes and
-// NaN doubles (the values whose comparison semantics most easily diverge
-// between a row-at-a-time and a selection-vector filter). Plus the
-// mid-stream robustness cases: a cancel or timeout arriving while a cursor
-// holds a latched, half-replayed batch must unwind promptly and cleanly.
+// Batch execution against a frozen row-at-a-time reference: every query
+// must reproduce, byte for byte and in each of the five golden engine
+// configurations, the output the former row-at-a-time pull protocol
+// produced — tests/parity/vectorized_parity.expected, recorded from that
+// protocol with these seeds, table sizes and queries. The tables include
+// NULL holes and NaN doubles (the values whose comparison semantics most
+// easily diverge between a row-at-a-time and a selection-vector filter).
+// Plus the mid-stream robustness cases: a cancel or timeout arriving while
+// a cursor holds a latched, half-replayed batch must unwind promptly and
+// cleanly.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -70,10 +75,10 @@ constexpr Config kConfigs[] = {
     {"direct less", "SET evaluation_mode = bnl; SET bmo_algorithm = less;"},
 };
 
-// Query shapes chosen to hit every native NextBatch implementation and the
-// batch predicate fast paths (col-op-literal both spellings, IS [NOT] NULL,
-// generic fallback with NULL/NaN arithmetic), plus the row-loop fallback
-// operators (join, aggregate, distinct).
+// Query shapes chosen to hit every NextBatch implementation (scans, filter,
+// project, limit, distinct, aggregate, join, sort, BMO) and the batch
+// predicate fast paths (col-op-literal both spellings, IS [NOT] NULL, the
+// generic path with NULL/NaN arithmetic).
 const char* const kQueries[] = {
     "SELECT id, a, b FROM data WHERE a < 40 AND tag = 'mid' ORDER BY id",
     "SELECT id FROM data WHERE 40 > a AND b IS NOT NULL ORDER BY id",
@@ -90,63 +95,67 @@ const char* const kQueries[] = {
     "('roadster', 'coupe') AND price AROUND 15000 ORDER BY id",
 };
 
-std::string RunAll(const Config& config, bool vectorized, uint64_t seed) {
+std::string RunAll(const Config& config, uint64_t seed) {
   Connection conn;
   EXPECT_TRUE(LoadRandomTable(conn.database(), 700, seed).ok());
   EXPECT_TRUE(GenerateUsedCars(conn.database(), 400, seed).ok());
   if (config.prelude[0] != '\0') {
     EXPECT_TRUE(conn.ExecuteScript(config.prelude).ok()) << config.name;
   }
-  conn.options().vectorized_execution = vectorized;
   std::string out;
   for (const char* q : kQueries) {
     auto r = conn.Execute(q);
-    EXPECT_TRUE(r.ok()) << config.name << (vectorized ? " batch " : " row ")
-                        << q << ": " << r.status().ToString();
+    EXPECT_TRUE(r.ok()) << config.name << " " << q << ": "
+                        << r.status().ToString();
     if (!r.ok()) return "<error>";
-    EXPECT_EQ(conn.last_stats().vectorized, vectorized) << q;
     out += r->ToString(/*max_rows=*/2000);
     out += "\n";
   }
   return out;
 }
 
-TEST(VectorizedParityTest, BatchAndRowModeAreByteIdentical) {
+// The frozen reference output of `seed`: the text between its
+// "=== seed N" header line and the next header.
+std::string ExpectedFor(uint64_t seed) {
+  std::ifstream in(PREFSQL_PARITY_EXPECTED);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string all = buf.str();
+  const std::string header = "=== seed " + std::to_string(seed) + "\n";
+  const size_t begin = all.find(header);
+  if (begin == std::string::npos) return "<missing seed>";
+  const size_t body = begin + header.size();
+  const size_t end = all.find("=== seed ", body);
+  return all.substr(body, end == std::string::npos ? end : end - body);
+}
+
+TEST(VectorizedParityTest, BatchOutputMatchesFrozenRowReference) {
   for (uint64_t seed : {3u, 41u, 77u}) {
+    const std::string expected = ExpectedFor(seed);
     for (const Config& config : kConfigs) {
       SCOPED_TRACE(std::string(config.name) + " seed " +
                    std::to_string(seed));
-      const std::string batch = RunAll(config, /*vectorized=*/true, seed);
-      const std::string row = RunAll(config, /*vectorized=*/false, seed);
-      EXPECT_EQ(batch, row);
+      EXPECT_EQ(RunAll(config, seed), expected);
     }
   }
 }
 
-TEST(VectorizedParityTest, StatsReportBatchesAndFallbackOperators) {
+TEST(VectorizedParityTest, StatsReportBatchesAndNoFallback) {
   Connection conn;
   ASSERT_TRUE(LoadRandomTable(conn.database(), 700, 5).ok());
 
-  // A scan+filter pipeline runs fully batched: batches counted, no fallback.
+  // A scan+filter pipeline: batches counted.
   auto r = conn.Execute("SELECT id FROM data WHERE a < 40 ORDER BY id");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(conn.last_stats().vectorized);
   EXPECT_GT(conn.last_stats().batches, 0u);
   EXPECT_GT(conn.last_stats().batch_rows, 0u);
 
-  // An aggregate root is served by the row-loop fallback and says so.
+  // An aggregate root pulls batches natively; nothing falls back.
   auto agg = conn.Execute("SELECT tag, COUNT(*) FROM data GROUP BY tag");
   ASSERT_TRUE(agg.ok());
-  EXPECT_NE(conn.last_stats().batch_fallback.find("aggregate"),
-            std::string::npos)
+  EXPECT_GT(conn.last_stats().batches, 0u);
+  EXPECT_TRUE(conn.last_stats().batch_fallback.empty())
       << conn.last_stats().batch_fallback;
-
-  // Row mode reports itself off and counts nothing.
-  conn.options().vectorized_execution = false;
-  auto off = conn.Execute("SELECT id FROM data WHERE a < 40");
-  ASSERT_TRUE(off.ok());
-  EXPECT_FALSE(conn.last_stats().vectorized);
-  EXPECT_EQ(conn.last_stats().batches, 0u);
 }
 
 TEST(VectorizedParityTest, MidStreamCancelUnwindsALatchedBatch) {
