@@ -1,6 +1,5 @@
 #include "core/cursor.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -57,9 +56,9 @@ Result<std::optional<RowRef>> Cursor::Next() {
     // Pull under the cursor's pinned snapshot so any subplan materialized
     // mid-stream reads the same point-in-time view the cursor opened with;
     // the query context rides along so the operators keep polling it.
-    ScopedSnapshot ambient(impl.snapshot);
+    ScopedSnapshot ambient(impl.pin.snapshot());
     ScopedQueryContext qscope(impl.ctx.get());
-    auto more = impl.root->NextBatch(&impl.batch);
+    auto more = impl.plan.root->NextBatch(&impl.batch);
     if (!more.ok()) {
       Close();
       return more.status();
@@ -86,45 +85,23 @@ void Cursor::Close() {
   if (impl_ == nullptr || !impl_->open) return;
   Impl& impl = *impl_;
   impl.open = false;
-  if (impl.root != nullptr) {
+  if (impl.plan.root != nullptr) {
     // Closing the tree flushes the BMO operators' counters into the plan's
     // stats sinks — correct even when the client stopped pulling early.
-    impl.root->Close();
+    impl.plan.root->Close();
     if (impl.session != nullptr &&
         impl.session->stats_epoch() == impl.stats_epoch) {
-      PreferenceQueryStats& stats = impl.stats;
-      if (stats.was_preference_query && impl.pref_plan.bmo_stats != nullptr) {
-        const BmoRunStats& bmo = *impl.pref_plan.bmo_stats;
-        const BmoRunStats& pre = *impl.pref_plan.prefilter_stats;
-        stats.candidate_count = bmo.candidate_count;
-        stats.bmo_comparisons = bmo.bmo.comparisons + pre.bmo.comparisons;
-        stats.bmo_partitions = bmo.partitions;
-        stats.bmo_threads_used = std::max(bmo.threads_used, pre.threads_used);
-        stats.bmo_key_build_ns = bmo.bmo.key_build_ns;
-        stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
-        stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
-        stats.key_cache_hit = bmo.key_cache_hit;
-        if (!bmo.key_cache_detail.empty()) {
-          stats.key_cache_detail = bmo.key_cache_detail;
-        }
-        stats.prefilter_candidate_count = pre.candidate_count;
-        stats.prefilter_result_count = pre.result_count;
-      }
+      PreferenceQueryStats& stats = impl.session->mutable_last_stats();
+      if (impl.plan.bmo_stats != nullptr) FoldPlanStats(impl.plan, stats);
       stats.result_count = impl.streamed;
-      FlushBatchExecStats(impl.ctx.get(), stats);
-      impl.session->mutable_last_stats() = stats;
-      if (impl.engine != nullptr) {
-        impl.engine->SnapshotCacheCounters(*impl.session);
-      }
+      impl.engine->FinishStatementStats(*impl.session, impl.ctx.get());
     }
     // Destroy the operator tree before releasing the lock: scans borrow
     // from catalog storage that writers may mutate once the lock is free.
-    // The root must go before the rest of the plan — the BMO operators
-    // flush into the plan's stats sinks from their destructors too.
-    impl.root = nullptr;
-    impl.pref_plan.root.reset();
-    impl.pref_plan = PreferencePlan{};
-    impl.plain_root.reset();
+    // The root goes before the rest of the plan — the BMO operators flush
+    // into the plan's stats sinks from their destructors too.
+    impl.plan.root.reset();
+    impl.plan = PreferencePlan{};
   }
   // Drop any batched rows before releasing the pin: borrowed refs point
   // into pinned storage.

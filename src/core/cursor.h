@@ -14,10 +14,12 @@
 //   * streaming — direct-path preference queries and plain SELECTs hold the
 //     open operator tree, the engine's shared DDL lock, and a pinned MVCC
 //     snapshot, and pull rows on demand: skyline/top-k results reach the
-//     client without a ResultTable materialization. Close() (or
-//     end-of-stream, or an error) closes the operator tree — flushing the
-//     BMO statistics into the session's last_stats even when the client
-//     stopped early — and releases the snapshot pin and the lock promptly.
+//     client without a ResultTable materialization. Both are built by one
+//     constructor (the tail of Engine::OpenPreparedCursor); they differ only
+//     in which planner produced the tree. Close() (or end-of-stream, or an
+//     error) closes the operator tree — folding the BMO statistics into the
+//     session's last_stats (FoldPlanStats) even when the client stopped
+//     early — and releases the snapshot pin and the lock promptly.
 //   * materialized — rewrite-mode preference queries (evaluated at a pinned
 //     snapshot under the shared lock, then released), EXPLAIN, and DML
 //     results are computed eagerly and replayed row by row; no lock or pin
@@ -94,16 +96,16 @@ class Cursor {
   /// pulls: the operator tree, the statement lock, and the shared artifacts
   /// the operators reference (ASTs, compiled preference, cached plan).
   struct Impl {
-    // -- streaming (engaged when root != nullptr) --
-    PreferencePlan pref_plan;    ///< owns root for preference queries
-    OperatorPtr plain_root;      ///< owns root for plain SELECTs
-    PhysicalOperator* root = nullptr;
+    // -- streaming (engaged when plan.root != nullptr) --
+    /// The one owner of the operator tree (`plan.root`). A direct-path
+    /// preference query also holds the stats sinks its BMO operators flush
+    /// into on Close; a plain SELECT engages the root only.
+    PreferencePlan plan;
     std::shared_lock<std::shared_mutex> lock;
     /// Snapshot pinned for the cursor's lifetime: Next() re-establishes it
     /// as the ambient read epoch per pull, so lazily materialized subplans
     /// see the open-time view too, and GC stays behind the pin.
     SnapshotPin pin;
-    uint64_t snapshot = 0;
     /// The statement's resource-governance context (deadline, cancel flag,
     /// memory budgets), kept alive for the cursor's lifetime so
     /// Session::CancelCurrent reaches in-flight pulls. Next() re-establishes
@@ -116,11 +118,9 @@ class Cursor {
     std::shared_ptr<Engine> engine_keepalive;
     Engine* engine = nullptr;
     Session* session = nullptr;
-    /// Stats template filled at open (cache outcomes, plan decisions);
-    /// completed with the operator counters and flushed on Close — but only
-    /// while `stats_epoch` still matches the session (a statement executed
-    /// after this cursor opened owns last_stats now).
-    PreferenceQueryStats stats;
+    /// The session's stats epoch at open. Close completes last_stats with
+    /// the operator counters only while it still matches (a statement
+    /// executed after this cursor opened owns last_stats now).
     uint64_t stats_epoch = 0;
     /// Batch pull state: Next() keeps the row-at-a-time client API by
     /// iterating the current operator batch; `batch_pos` indexes into

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/analyzer.h"
-#include "core/rewriter.h"
 #include "sql/normalize.h"
 #include "sql/parameters.h"
 #include "sql/parser.h"
@@ -183,22 +182,6 @@ std::shared_ptr<QueryContext> Engine::ArmStatementContext(Session& session) {
       [this](uint64_t bytes) { RelieveMemoryPressure(bytes); });
   session.SetCurrentContext(ctx);
   return ctx;
-}
-
-uint64_t Engine::KnobFingerprint(const ConnectionOptions& o) {
-  uint64_t h = kFingerprintSeed;
-  h = FingerprintMix(h, static_cast<uint64_t>(o.mode));
-  h = FingerprintMix(h, static_cast<uint64_t>(o.but_only_mode));
-  h = FingerprintMix(
-      h, o.bmo_algorithm ? 1 + static_cast<uint64_t>(*o.bmo_algorithm) : 0);
-  h = FingerprintMix(h, o.bnl_window);
-  h = FingerprintMix(h, o.bmo_threads);
-  h = FingerprintMix(h, o.parallel_min_rows);
-  h = FingerprintMix(h, o.preference_pushdown ? 1 : 0);
-  h = FingerprintMix(h, o.key_cache ? 1 : 0);
-  h = FingerprintMix(h, o.skyline_cache ? 1 : 0);
-  h = FingerprintMix(h, o.mvcc_gc ? 1 : 0);
-  return h;
 }
 
 PlanCacheKey Engine::CacheKey(const Session& session, std::string text) {
@@ -450,7 +433,6 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
         // skips the cache maintenance below.
         PSQL_ASSIGN_OR_RETURN(ResultTable rows,
                               EvaluatePreferenceRows(session, *stmt.select));
-        FlushBatchExecStats(qctx.get(), session.mutable_last_stats());
         r = db_.executor().InsertTable(stmt.name, stmt.insert_columns, rows);
       } else {
         r = db_.ExecuteStatement(stmt);
@@ -459,7 +441,7 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
       SweepCaches();
       return r;
     }();
-    SnapshotCacheCounters(session);
+    FinishStatementStats(session, qctx.get());
     ddl.unlock();
     TryCollectGarbage(session);
     return result;
@@ -472,7 +454,7 @@ Result<ResultTable> Engine::ExecuteStatement(Session& session,
   auto result = db_.ExecuteStatement(stmt);
   MaintainSkylineCaches();
   SweepCaches();
-  SnapshotCacheCounters(session);
+  FinishStatementStats(session, qctx.get());
   return result;
 }
 
@@ -657,78 +639,64 @@ Result<Cursor> Engine::OpenPreparedCursor(
   ScopedQueryContext qscope(qctx.get());
   SessionContextClearGuard clear_guard(&session, qctx);
 
-  if (plan->kind == StatementKind::kExplain) {
-    PSQL_ASSIGN_OR_RETURN(ResultTable result,
-                          ExecuteExplain(session, *plan, params, widths));
-    FlushBatchExecStats(qctx.get(), stats);
-    SnapshotCacheCounters(session);
-    return MaterializedCursor(std::move(result), &session,
-                              std::move(keepalive));
-  }
-
-  if (plan->select->IsPreferenceQuery()) {
-    stats.was_preference_query = true;
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    // Pin the snapshot under the shared DDL lock (pins are only ever taken
-    // while it is held, which is what lets the GC's exclusive acquisition
-    // conclude "no pins, no readers"). The ambient scope makes binding,
-    // planning, and Open all read at the pinned epoch.
-    SnapshotPin pin(&db_.catalog().epochs());
-    stats.pinned_epoch = pin.snapshot();
-    ScopedSnapshot ambient(pin.snapshot());
-    PSQL_ASSIGN_OR_RETURN(ExecutionView view,
-                          BindForExecutionLocked(*plan, params, widths));
-    if (session.options().mode == EvaluationMode::kRewrite) {
-      // The rewrite strategy evaluates its Aux relations statement-locally,
-      // at the pinned snapshot; the cursor replays the materialized rows.
-      Result<ResultTable> result =
-          ExecuteViaRewrite(session, *view.select, view.preference);
-      if (result.ok()) {
-        FlushBatchExecStats(qctx.get(), stats);
-        SnapshotCacheCounters(session);
-        return MaterializedCursor(std::move(*result), &session,
-                                  std::move(keepalive));
-      }
-      if (!result.status().IsNotImplemented()) return result.status();
-      // Rewriter refused (e.g. non-weak-order EXPLICIT): stream via BNL.
-      stats.rewrite_fallback = true;
-    }
-    Result<Cursor> cursor =
-        OpenDirectCursor(session, std::move(view), std::move(lock),
-                         std::move(pin), std::move(plan), qctx,
-                         std::move(keepalive));
-    if (cursor.ok()) clear_guard.Release();
-    return cursor;
-  }
-
-  // Plain SELECT: stream straight out of the operator pipeline under the
-  // shared DDL lock at a pinned snapshot.
+  // One prologue for every SELECT and EXPLAIN: the shared DDL lock, a
+  // snapshot pinned under it (pins are only ever taken while it is held,
+  // which is what lets the GC's exclusive acquisition conclude "no pins, no
+  // readers"), and the bound view. The ambient scope makes binding,
+  // planning, and Open all read at the pinned epoch.
+  const bool explain = plan->kind == StatementKind::kExplain;
+  const bool preference = plan->select->IsPreferenceQuery();
+  stats.was_preference_query = preference && !explain;
   std::shared_lock<std::shared_mutex> lock(mutex_);
   SnapshotPin pin(&db_.catalog().epochs());
   stats.pinned_epoch = pin.snapshot();
   ScopedSnapshot ambient(pin.snapshot());
   PSQL_ASSIGN_OR_RETURN(ExecutionView view,
                         BindForExecutionLocked(*plan, params, widths));
-  PSQL_ASSIGN_OR_RETURN(OperatorPtr root,
-                        db_.executor().PlanSelectOperator(*view.select));
+
+  // EXPLAIN and the rewrite strategy replay a materialized result; the
+  // direct path and plain SELECTs stream.
+  std::optional<ResultTable> materialized;
+  if (explain) {
+    PSQL_ASSIGN_OR_RETURN(materialized,
+                          RenderExplain(session, view, pin.snapshot()));
+  } else if (preference) {
+    PSQL_ASSIGN_OR_RETURN(materialized, EvaluateByRewrite(session, view));
+  }
+  if (materialized.has_value()) {
+    FinishStatementStats(session, qctx.get());
+    return MaterializedCursor(std::move(*materialized), &session,
+                              std::move(keepalive));
+  }
   auto impl = std::make_unique<Cursor::Impl>();
-  impl->plain_root = std::move(root);
-  impl->root = impl->plain_root.get();
+  if (preference) {
+    PSQL_ASSIGN_OR_RETURN(
+        impl->plan,
+        BuildPreferencePlan(
+            db_, AnalyzedPreferenceQuery(view.select.get(), view.preference),
+            DirectOptions(session)));
+  } else {
+    PSQL_ASSIGN_OR_RETURN(impl->plan.root,
+                          db_.executor().PlanSelectOperator(*view.select));
+  }
   impl->lock = std::move(lock);
-  impl->snapshot = pin.snapshot();
   impl->pin = std::move(pin);
   impl->ctx = qctx;
-  impl->select_keepalive = view.select;
+  impl->select_keepalive = std::move(view.select);
+  impl->pref_keepalive = std::move(view.preference);
   impl->plan_keepalive = std::move(plan);
   impl->engine_keepalive = std::move(keepalive);
   impl->engine = this;
   impl->session = &session;
-  impl->stats = stats;
   impl->stats_epoch = session.stats_epoch();
-  impl->schema = impl->root->schema();
-  Status open = impl->root->Open();
+  impl->schema = impl->plan.root->schema();
+  // For a preference query Open consumes the candidate stream (the BMO
+  // block is a pipeline breaker); afterwards rows stream out on demand.
+  Status open = impl->plan.root->Open();
   Cursor cursor(std::move(impl));
   if (!open.ok()) {
+    // Close folds whatever the operators counted before the failure into
+    // last_stats and releases the lock.
     cursor.Close();
     return open;
   }
@@ -736,60 +704,8 @@ Result<Cursor> Engine::OpenPreparedCursor(
   return cursor;
 }
 
-Result<Cursor> Engine::OpenDirectCursor(Session& session, ExecutionView view,
-                                        std::shared_lock<std::shared_mutex>
-                                            lock,
-                                        SnapshotPin pin,
-                                        std::shared_ptr<const CachedPlan>
-                                            plan,
-                                        std::shared_ptr<QueryContext> qctx,
-                                        std::shared_ptr<Engine> keepalive) {
-  PreferenceQueryStats& stats = session.mutable_last_stats();
-  AnalyzedPreferenceQuery analyzed(view.select.get(), view.preference);
-  const DirectEvalOptions options = DirectOptions(session);
-  PSQL_ASSIGN_OR_RETURN(PreferencePlan pplan,
-                        BuildPreferencePlan(db_, analyzed, options));
-  stats.bmo_algorithm = BmoAlgorithmToString(options.bmo.algorithm);
-  stats.bmo_kernel =
-      DominanceKernelToString(analyzed.preference().program().kernel());
-  stats.used_pushdown = pplan.used_pushdown;
-  stats.pushdown_detail = pplan.pushdown_detail;
-  stats.key_cache_eligible = pplan.key_cache_eligible;
-  stats.key_cache_detail = pplan.key_cache_detail;
-  stats.skyline_cache_hit = pplan.skyline_cache_hit;
-  stats.skyline_cache_detail = pplan.skyline_cache_detail;
-
-  auto impl = std::make_unique<Cursor::Impl>();
-  impl->pref_plan = std::move(pplan);
-  impl->root = impl->pref_plan.root.get();
-  impl->lock = std::move(lock);
-  impl->snapshot = pin.snapshot();
-  impl->pin = std::move(pin);
-  impl->ctx = std::move(qctx);
-  impl->select_keepalive = std::move(view.select);
-  impl->pref_keepalive = std::move(view.preference);
-  impl->plan_keepalive = std::move(plan);
-  impl->engine_keepalive = std::move(keepalive);
-  impl->engine = this;
-  impl->session = &session;
-  impl->stats = stats;
-  impl->stats_epoch = session.stats_epoch();
-  impl->schema = impl->root->schema();
-  // Open consumes the candidate stream (the BMO block is a pipeline
-  // breaker); afterwards rows stream out on demand.
-  Status open = impl->root->Open();
-  Cursor cursor(std::move(impl));
-  if (!open.ok()) {
-    // Close flushes whatever the operators counted before the failure into
-    // last_stats and releases the lock.
-    cursor.Close();
-    return open;
-  }
-  return cursor;
-}
-
 // ===========================================================================
-// Preference strategies (materialized halves)
+// Preference strategies
 // ===========================================================================
 
 Result<std::shared_ptr<SelectStmt>> Engine::ExpandSelect(
@@ -804,16 +720,24 @@ Result<std::shared_ptr<SelectStmt>> Engine::ExpandSelect(
   return out;
 }
 
-Result<std::vector<std::string>> Engine::ProbeBaseColumns(
-    const SelectStmt& select) {
+Result<RewriteOutput> Engine::RewriteLocked(
+    const Session& session, const AnalyzedPreferenceQuery& analyzed,
+    const std::string& aux_name) {
   // Schema probe: run the candidate query with a FALSE predicate; only the
-  // output schema matters.
+  // output schema matters (the rewriter projects the Aux relation's level
+  // columns away against it).
   auto probe = std::make_shared<SelectStmt>();
   probe->items.push_back({Expr::MakeStar(), ""});
-  for (const auto& tr : select.from) probe->from.push_back(tr->Clone());
+  for (const auto& tr : analyzed.query->from) {
+    probe->from.push_back(tr->Clone());
+  }
   probe->where = Expr::MakeLiteral(Value::Bool(false));
   PSQL_ASSIGN_OR_RETURN(ResultTable rt, db_.ExecuteSelect(*probe));
-  return rt.schema().Names();
+  const std::vector<std::string> base_columns = rt.schema().Names();
+  PSQL_RETURN_IF_ERROR(
+      ValidatePreferenceColumns(analyzed.preference(), base_columns));
+  return RewritePreferenceQuery(analyzed, base_columns,
+                                session.options().but_only_mode, aux_name);
 }
 
 DirectEvalOptions Engine::DirectOptions(const Session& session) {
@@ -845,97 +769,70 @@ DirectEvalOptions Engine::DirectOptions(const Session& session) {
   return direct;
 }
 
-Result<ResultTable> Engine::ExecuteViaRewrite(
-    Session& session, const SelectStmt& select,
-    const std::shared_ptr<const CompiledPreference>& pref) {
+Result<std::optional<ResultTable>> Engine::EvaluateByRewrite(
+    Session& session, const ExecutionView& view) {
+  if (session.options().mode != EvaluationMode::kRewrite) {
+    return std::optional<ResultTable>();
+  }
   PreferenceQueryStats& stats = session.mutable_last_stats();
   QueryContext* ctx = CurrentQueryContext();
   if (ctx == nullptr) {
     return Status::Internal("rewrite evaluation outside a statement context");
   }
-  AnalyzedPreferenceQuery analyzed(&select, pref);
-  PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(select));
-  PSQL_RETURN_IF_ERROR(
-      ValidatePreferenceColumns(analyzed.preference(), base_columns));
-  PSQL_ASSIGN_OR_RETURN(
-      RewriteOutput rewritten,
-      RewritePreferenceQuery(analyzed, base_columns,
-                             session.options().but_only_mode, kAuxRelation));
+  Result<RewriteOutput> rewritten = RewriteLocked(
+      session, AnalyzedPreferenceQuery(view.select.get(), view.preference),
+      kAuxRelation);
+  if (!rewritten.ok()) {
+    if (!rewritten.status().IsNotImplemented()) return rewritten.status();
+    // Rewriter refused (e.g. non-weak-order EXPLICIT): the direct path runs.
+    stats.rewrite_fallback = true;
+    return std::optional<ResultTable>();
+  }
   // The script's CREATE VIEWs become statement-local relations: each body
   // is materialized once, in order (the BUT ONLY pre-filter view reads
   // Aux), and the main query resolves their names before the catalog. The
   // catalog is never touched, so the DROP VIEW teardown has nothing to do.
-  for (const auto& st : rewritten.setup) {
+  for (const auto& st : rewritten->setup) {
     PSQL_ASSIGN_OR_RETURN(ResultTable relation, db_.ExecuteSelect(*st.select));
     ctx->PutRelation(st.name,
                      std::make_shared<const ResultTable>(std::move(relation)));
   }
   PSQL_ASSIGN_OR_RETURN(ResultTable result,
-                        db_.ExecuteSelect(*rewritten.query));
+                        db_.ExecuteSelect(*rewritten->query));
   stats.used_rewrite = true;
   stats.result_count = result.num_rows();
-  return result;
+  return std::optional<ResultTable>(std::move(result));
 }
 
 Result<ResultTable> Engine::EvaluatePreferenceRows(Session& session,
                                                    const SelectStmt& select) {
   PSQL_ASSIGN_OR_RETURN(auto expanded, ExpandSelect(select));
   PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*expanded));
-  if (session.options().mode == EvaluationMode::kRewrite) {
-    auto result = ExecuteViaRewrite(session, *expanded, analyzed.pref);
-    if (result.ok() || !result.status().IsNotImplemented()) return result;
-    // Rewriter refused (e.g. non-weak-order EXPLICIT): fall back.
-    session.mutable_last_stats().rewrite_fallback = true;
-  }
-  return ExecuteDirect(session, *expanded, analyzed.pref);
-}
-
-Result<ResultTable> Engine::ExecuteDirect(
-    Session& session, const SelectStmt& select,
-    const std::shared_ptr<const CompiledPreference>& pref) {
+  const ExecutionView view{std::move(expanded), analyzed.pref};
+  PSQL_ASSIGN_OR_RETURN(std::optional<ResultTable> rewritten,
+                        EvaluateByRewrite(session, view));
+  if (rewritten.has_value()) return std::move(*rewritten);
+  // The SELECT path's plan, drained instead of streamed. DrainToTable
+  // closes the tree even when it fails, so the folded counters are valid
+  // for partial runs too.
+  PSQL_ASSIGN_OR_RETURN(
+      PreferencePlan plan,
+      BuildPreferencePlan(
+          db_, AnalyzedPreferenceQuery(view.select.get(), view.preference),
+          DirectOptions(session)));
+  Result<ResultTable> rows = DrainToTable(*plan.root);
   PreferenceQueryStats& stats = session.mutable_last_stats();
-  AnalyzedPreferenceQuery analyzed(&select, pref);
-  DirectEvalStats direct_stats;
-  const DirectEvalOptions direct_options = DirectOptions(session);
-  auto result = ExecutePreferenceQueryDirect(db_, analyzed, direct_options,
-                                             &direct_stats);
-  // The BMO operators flush their counters on Close, so the stats are
-  // meaningful even when the drain failed partway.
-  stats.candidate_count = direct_stats.candidate_count;
-  stats.bmo_comparisons = direct_stats.bmo.comparisons;
-  stats.bmo_partitions = direct_stats.partitions;
-  stats.bmo_threads_used = direct_stats.threads_used;
-  stats.bmo_algorithm = BmoAlgorithmToString(direct_options.bmo.algorithm);
-  stats.bmo_kernel = DominanceKernelToString(direct_stats.bmo.kernel);
-  stats.bmo_simd = SimdVariantToString(direct_stats.bmo.simd);
-  stats.bmo_key_build_ns = direct_stats.bmo.key_build_ns;
-  stats.used_pushdown = direct_stats.used_pushdown;
-  stats.pushdown_detail = direct_stats.pushdown_detail;
-  stats.prefilter_candidate_count = direct_stats.prefilter.candidate_count;
-  stats.prefilter_result_count = direct_stats.prefilter.result_count;
-  stats.key_cache_eligible = direct_stats.key_cache_eligible;
-  stats.key_cache_hit = direct_stats.key_cache_hit;
-  stats.key_cache_detail = direct_stats.key_cache_detail;
-  stats.skyline_cache_hit = direct_stats.skyline_cache_hit;
-  stats.skyline_cache_detail = direct_stats.skyline_cache_detail;
-  if (result.ok()) {
-    stats.result_count = result->num_rows();
-  }
-  return result;
+  FoldPlanStats(plan, stats);
+  if (rows.ok()) stats.result_count = rows->num_rows();
+  return rows;
 }
 
-Result<ResultTable> Engine::ExecuteExplain(
-    Session& session, const CachedPlan& plan,
-    const std::vector<Value>* params, const std::vector<uint32_t>* widths) {
+Result<ResultTable> Engine::RenderExplain(Session& session,
+                                          const ExecutionView& view,
+                                          uint64_t snapshot) {
   Schema schema = Schema::FromNames({"plan"});
   std::vector<Row> lines;
   auto add = [&](const std::string& s) { lines.push_back({Value::Text(s)}); };
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  SnapshotPin pin(&db_.catalog().epochs());
-  session.mutable_last_stats().pinned_epoch = pin.snapshot();
-  ScopedSnapshot ambient(pin.snapshot());
-  PSQL_ASSIGN_OR_RETURN(ExecutionView view,
-                        BindForExecutionLocked(plan, params, widths));
   const SelectStmt& select = *view.select;
   if (!select.IsPreferenceQuery()) {
     add("-- standard SQL: passed through to the host database unchanged");
@@ -947,11 +844,11 @@ Result<ResultTable> Engine::ExecuteExplain(
       (session.last_stats().plan_cache_hit ? "hit" : "miss") +
       " (catalog version " + std::to_string(db_.catalog().version()) + ")";
   AnalyzedPreferenceQuery analyzed(&select, view.preference);
+  const DirectEvalOptions direct = DirectOptions(session);
   if (session.options().mode != EvaluationMode::kRewrite) {
     // Direct path: describe the physical decisions (pushdown placement,
     // skyline algorithm, parallelism, cache keying) by compiling the plan
     // without draining it.
-    DirectEvalOptions direct = DirectOptions(session);
     PSQL_ASSIGN_OR_RETURN(
         PreferencePlan pplan,
         BuildPreferencePlan(db_, analyzed, direct, /*count_stats=*/false));
@@ -968,7 +865,7 @@ Result<ResultTable> Engine::ExecuteExplain(
     add("-- " + pplan.pushdown_detail);
     add("-- " + pplan.key_cache_detail);
     add("-- " + pplan.skyline_cache_detail);
-    add("-- mvcc: snapshot epoch " + std::to_string(pin.snapshot()) +
+    add("-- mvcc: snapshot epoch " + std::to_string(snapshot) +
         ", pinned readers " +
         std::to_string(db_.catalog().epochs().pinned_count()) +
         ", gc cleared " +
@@ -978,14 +875,12 @@ Result<ResultTable> Engine::ExecuteExplain(
     add(SelectToSql(select));
     return ResultTable(std::move(schema), std::move(lines));
   }
-  PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(select));
-  auto rewritten =
-      RewritePreferenceQuery(analyzed, base_columns,
-                             session.options().but_only_mode, "Aux");
+  auto rewritten = RewriteLocked(session, analyzed, "Aux");
   if (!rewritten.ok()) {
     if (rewritten.status().IsNotImplemented()) {
       add("-- preference is not expressible as level columns; evaluated "
-          "in-engine (BNL)");
+          "in-engine (" +
+          std::string(BmoAlgorithmToString(direct.bmo.algorithm)) + ")");
       add(plan_cache_line);
       add(SelectToSql(select));
       return ResultTable(std::move(schema), std::move(lines));
@@ -1011,17 +906,17 @@ Result<std::string> Engine::RewriteToSql(Session& session,
   if (StatementHasParameters(stmt)) return UnboundParametersError();
   PSQL_ASSIGN_OR_RETURN(auto analyzed, AnalyzePreferenceQuery(*stmt.select));
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  PSQL_ASSIGN_OR_RETURN(auto base_columns, ProbeBaseColumns(*stmt.select));
-  std::string aux_name = "Aux";
-  PSQL_ASSIGN_OR_RETURN(
-      RewriteOutput rewritten,
-      RewritePreferenceQuery(analyzed, base_columns,
-                             session.options().but_only_mode, aux_name));
+  PSQL_ASSIGN_OR_RETURN(RewriteOutput rewritten,
+                        RewriteLocked(session, analyzed, "Aux"));
   return rewritten.ToScript();
 }
 
-void Engine::SnapshotCacheCounters(Session& session) {
+void Engine::FinishStatementStats(Session& session, const QueryContext* ctx) {
   PreferenceQueryStats& stats = session.mutable_last_stats();
+  if (ctx != nullptr) {
+    stats.batches = ctx->batch_stats().batches;
+    stats.batch_rows = ctx->batch_stats().batch_rows;
+  }
   stats.plan_cache_evictions = plan_cache_.counters().evictions;
   stats.key_cache_evictions = key_cache_.counters().evictions;
   stats.skyline_maintenance_events = key_cache_.maintenance_events();
@@ -1262,206 +1157,196 @@ Result<bool> SetValueAsBool(const Value& v, const std::string& knob) {
   return Status::InvalidArgument("SET " + knob + " expects on or off");
 }
 
+// The lower-cased text of a SET value ("" for a non-text value).
+std::string SetValueText(const Value& v) {
+  return v.type() == ValueType::kText ? ToLower(v.AsText()) : "";
+}
+
+// One SET knob: how a value parses into the session's options (`set` never
+// sees a reset — the table resets a knob by copying its default), how the
+// effective value echoes, and, for the knobs that change how a statement
+// prepares or executes, the word it contributes to the plan-cache
+// fingerprint (nullptr: the knob does not key the plan cache).
+struct Knob {
+  const char* name;
+  Status (*set)(ConnectionOptions& o, const Value& v, const std::string& knob);
+  void (*reset)(ConnectionOptions& o);
+  std::string (*echo)(const ConnectionOptions& o);
+  uint64_t (*fingerprint)(const ConnectionOptions& o);
+};
+
+template <auto Field>
+void ResetField(ConnectionOptions& o) {
+  o.*Field = ConnectionOptions().*Field;
+}
+
+template <auto Field>
+uint64_t FieldWord(const ConnectionOptions& o) {
+  return static_cast<uint64_t>(o.*Field);
+}
+
+template <auto Field>
+Status SetSize(ConnectionOptions& o, const Value& v, const std::string& knob) {
+  PSQL_ASSIGN_OR_RETURN(o.*Field, SetValueAsSize(v, knob));
+  return Status::OK();
+}
+
+template <auto Field>
+std::string EchoSize(const ConnectionOptions& o) {
+  return std::to_string(o.*Field);
+}
+
+template <auto Field>
+Status SetFlag(ConnectionOptions& o, const Value& v, const std::string& knob) {
+  PSQL_ASSIGN_OR_RETURN(o.*Field, SetValueAsBool(v, knob));
+  return Status::OK();
+}
+
+template <auto Field>
+std::string EchoFlag(const ConnectionOptions& o) {
+  return o.*Field ? "on" : "off";
+}
+
+template <auto Field>
+constexpr Knob SizeKnob(const char* name, bool keys_plan) {
+  return {name, SetSize<Field>, ResetField<Field>, EchoSize<Field>,
+          keys_plan ? FieldWord<Field> : nullptr};
+}
+
+template <auto Field>
+constexpr Knob FlagKnob(const char* name, bool keys_plan) {
+  return {name, SetFlag<Field>, ResetField<Field>, EchoFlag<Field>,
+          keys_plan ? FieldWord<Field> : nullptr};
+}
+
+Status SetEvaluationMode(ConnectionOptions& o, const Value& v,
+                         const std::string&) {
+  const std::string m = SetValueText(v);
+  if (m == "rewrite") {
+    o.mode = EvaluationMode::kRewrite;
+  } else if (m == "bnl") {
+    o.mode = EvaluationMode::kBlockNestedLoop;
+  } else if (m == "naive") {
+    o.mode = EvaluationMode::kNaiveNestedLoop;
+  } else if (m == "sfs") {
+    o.mode = EvaluationMode::kSortFilterSkyline;
+  } else {
+    return Status::InvalidArgument(
+        "SET evaluation_mode expects rewrite, bnl, naive or sfs");
+  }
+  return Status::OK();
+}
+
+Status SetBmoAlgorithm(ConnectionOptions& o, const Value& v,
+                       const std::string&) {
+  if (v.type() != ValueType::kText) {
+    return Status::InvalidArgument(
+        "SET bmo_algorithm expects naive, bnl, sfs, less or default");
+  }
+  PSQL_ASSIGN_OR_RETURN(o.bmo_algorithm,
+                        BmoAlgorithmFromString(ToLower(v.AsText())));
+  return Status::OK();
+}
+
+Status SetButOnlyMode(ConnectionOptions& o, const Value& v,
+                      const std::string&) {
+  const std::string m = SetValueText(v);
+  if (m == "prefilter") {
+    o.but_only_mode = ButOnlyMode::kPreFilter;
+  } else if (m == "postfilter") {
+    o.but_only_mode = ButOnlyMode::kPostFilter;
+  } else {
+    return Status::InvalidArgument(
+        "SET but_only_mode expects prefilter or postfilter");
+  }
+  return Status::OK();
+}
+
+using O = ConnectionOptions;
+
+// Every SET knob, in the order the unknown-setting error lists them.
+constexpr Knob kKnobs[] = {
+    {"evaluation_mode", SetEvaluationMode, ResetField<&O::mode>,
+     [](const O& o) -> std::string { return EvaluationModeToString(o.mode); },
+     FieldWord<&O::mode>},
+    {"bmo_algorithm", SetBmoAlgorithm, ResetField<&O::bmo_algorithm>,
+     [](const O& o) -> std::string {
+       return o.bmo_algorithm ? BmoAlgorithmToString(*o.bmo_algorithm)
+                              : "default";
+     },
+     [](const O& o) -> uint64_t {
+       return o.bmo_algorithm ? 1 + static_cast<uint64_t>(*o.bmo_algorithm)
+                              : 0;
+     }},
+    SizeKnob<&O::bmo_threads>("bmo_threads", true),
+    SizeKnob<&O::parallel_min_rows>("parallel_min_rows", true),
+    FlagKnob<&O::preference_pushdown>("preference_pushdown", true),
+    SizeKnob<&O::bnl_window>("bnl_window", true),
+    {"but_only_mode", SetButOnlyMode, ResetField<&O::but_only_mode>,
+     [](const O& o) -> std::string {
+       return o.but_only_mode == ButOnlyMode::kPreFilter ? "prefilter"
+                                                         : "postfilter";
+     },
+     FieldWord<&O::but_only_mode>},
+    FlagKnob<&O::plan_cache>("plan_cache", false),
+    FlagKnob<&O::auto_parameterize>("auto_parameterize", false),
+    FlagKnob<&O::key_cache>("key_cache", true),
+    FlagKnob<&O::skyline_cache>("skyline_cache", true),
+    FlagKnob<&O::mvcc_gc>("mvcc_gc", true),
+    FlagKnob<&O::mvcc_gc_background>("mvcc_gc_background", false),
+    SizeKnob<&O::statement_timeout_ms>("statement_timeout_ms", false),
+    SizeKnob<&O::statement_memory_bytes>("statement_memory_bytes", false),
+    SizeKnob<&O::engine_memory_bytes>("engine_memory_bytes", false),
+};
+
 }  // namespace
+
+uint64_t Engine::KnobFingerprint(const ConnectionOptions& o) {
+  uint64_t h = kFingerprintSeed;
+  for (const Knob& k : kKnobs) {
+    if (k.fingerprint != nullptr) h = FingerprintMix(h, k.fingerprint(o));
+  }
+  return h;
+}
 
 Result<ResultTable> Engine::ExecuteSet(Session& session,
                                        const Statement& stmt) {
   ConnectionOptions& options = session.options();
   const std::string knob = ToLower(stmt.name);
   const Value& v = stmt.set_value;
-  const ConnectionOptions defaults;
+  const Knob* k = nullptr;
+  for (const Knob& candidate : kKnobs) {
+    if (knob == candidate.name) k = &candidate;
+  }
+  if (k == nullptr) {
+    std::string known;
+    for (const Knob& candidate : kKnobs) {
+      known += (known.empty() ? "" : ", ") + std::string(candidate.name);
+    }
+    return Status::InvalidArgument("unknown setting '" + stmt.name +
+                                   "' (known: " + known + ")");
+  }
   const bool reset = v.type() == ValueType::kNull ||
                      (v.type() == ValueType::kText &&
                       ToLower(v.AsText()) == "default");
-  if (knob == "bmo_threads") {
-    if (reset) {
-      options.bmo_threads = defaults.bmo_threads;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.bmo_threads, SetValueAsSize(v, knob));
-    }
-  } else if (knob == "parallel_min_rows") {
-    if (reset) {
-      options.parallel_min_rows = defaults.parallel_min_rows;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.parallel_min_rows,
-                            SetValueAsSize(v, knob));
-    }
-  } else if (knob == "bnl_window") {
-    if (reset) {
-      options.bnl_window = defaults.bnl_window;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.bnl_window, SetValueAsSize(v, knob));
-    }
-  } else if (knob == "preference_pushdown") {
-    if (reset) {
-      options.preference_pushdown = defaults.preference_pushdown;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.preference_pushdown,
-                            SetValueAsBool(v, knob));
-    }
-  } else if (knob == "plan_cache") {
-    if (reset) {
-      options.plan_cache = defaults.plan_cache;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.plan_cache, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "auto_parameterize") {
-    if (reset) {
-      options.auto_parameterize = defaults.auto_parameterize;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.auto_parameterize,
-                            SetValueAsBool(v, knob));
-    }
-  } else if (knob == "key_cache") {
-    if (reset) {
-      options.key_cache = defaults.key_cache;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.key_cache, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "skyline_cache") {
-    if (reset) {
-      options.skyline_cache = defaults.skyline_cache;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.skyline_cache, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "mvcc_gc") {
-    if (reset) {
-      options.mvcc_gc = defaults.mvcc_gc;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.mvcc_gc, SetValueAsBool(v, knob));
-    }
-  } else if (knob == "mvcc_gc_background") {
-    if (reset) {
-      options.mvcc_gc_background = defaults.mvcc_gc_background;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.mvcc_gc_background,
-                            SetValueAsBool(v, knob));
-    }
-    // Engine-wide effect: pauses/resumes the background reclaimer thread
-    // for every session sharing this engine.
+  if (reset) {
+    k->reset(options);
+  } else {
+    PSQL_RETURN_IF_ERROR(k->set(options, v, knob));
+  }
+  // Engine-wide effects: the background reclaimer and the memory budget
+  // are shared by every session on this engine.
+  if (knob == "mvcc_gc_background") {
     gc_background_enabled_.store(options.mvcc_gc_background,
                                  std::memory_order_relaxed);
     gc_cv_.notify_one();
-  } else if (knob == "statement_timeout_ms") {
-    if (reset) {
-      options.statement_timeout_ms = defaults.statement_timeout_ms;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.statement_timeout_ms,
-                            SetValueAsSize(v, knob));
-    }
-  } else if (knob == "statement_memory_bytes") {
-    if (reset) {
-      options.statement_memory_bytes = defaults.statement_memory_bytes;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.statement_memory_bytes,
-                            SetValueAsSize(v, knob));
-    }
   } else if (knob == "engine_memory_bytes") {
-    if (reset) {
-      options.engine_memory_bytes = defaults.engine_memory_bytes;
-    } else {
-      PSQL_ASSIGN_OR_RETURN(options.engine_memory_bytes,
-                            SetValueAsSize(v, knob));
-    }
-    // Engine-wide effect: the budget is shared by all sessions' statements.
     engine_budget_.set_limit(options.engine_memory_bytes);
-  } else if (knob == "evaluation_mode") {
-    if (reset) {
-      options.mode = defaults.mode;
-    } else if (v.type() == ValueType::kText) {
-      const std::string m = ToLower(v.AsText());
-      if (m == "rewrite") {
-        options.mode = EvaluationMode::kRewrite;
-      } else if (m == "bnl") {
-        options.mode = EvaluationMode::kBlockNestedLoop;
-      } else if (m == "naive") {
-        options.mode = EvaluationMode::kNaiveNestedLoop;
-      } else if (m == "sfs") {
-        options.mode = EvaluationMode::kSortFilterSkyline;
-      } else {
-        return Status::InvalidArgument(
-            "SET evaluation_mode expects rewrite, bnl, naive or sfs");
-      }
-    } else {
-      return Status::InvalidArgument(
-          "SET evaluation_mode expects rewrite, bnl, naive or sfs");
-    }
-  } else if (knob == "bmo_algorithm") {
-    if (reset) {
-      options.bmo_algorithm = defaults.bmo_algorithm;
-    } else if (v.type() == ValueType::kText) {
-      PSQL_ASSIGN_OR_RETURN(auto algo,
-                            BmoAlgorithmFromString(ToLower(v.AsText())));
-      options.bmo_algorithm = algo;
-    } else {
-      return Status::InvalidArgument(
-          "SET bmo_algorithm expects naive, bnl, sfs, less or default");
-    }
-  } else if (knob == "but_only_mode") {
-    const std::string m =
-        v.type() == ValueType::kText ? ToLower(v.AsText()) : "";
-    if (reset) {
-      options.but_only_mode = defaults.but_only_mode;
-    } else if (m == "prefilter") {
-      options.but_only_mode = ButOnlyMode::kPreFilter;
-    } else if (m == "postfilter") {
-      options.but_only_mode = ButOnlyMode::kPostFilter;
-    } else {
-      return Status::InvalidArgument(
-          "SET but_only_mode expects prefilter or postfilter");
-    }
-  } else {
-    return Status::InvalidArgument(
-        "unknown setting '" + stmt.name +
-        "' (known: evaluation_mode, bmo_algorithm, bmo_threads, "
-        "parallel_min_rows, preference_pushdown, bnl_window, but_only_mode, "
-        "plan_cache, auto_parameterize, key_cache, skyline_cache, mvcc_gc, "
-        "mvcc_gc_background, statement_timeout_ms, statement_memory_bytes, "
-        "engine_memory_bytes)");
   }
-
   // Echo the effective value so scripts/shell users see what stuck.
-  std::string effective;
-  if (knob == "bmo_threads") {
-    effective = std::to_string(options.bmo_threads);
-  } else if (knob == "parallel_min_rows") {
-    effective = std::to_string(options.parallel_min_rows);
-  } else if (knob == "bnl_window") {
-    effective = std::to_string(options.bnl_window);
-  } else if (knob == "preference_pushdown") {
-    effective = options.preference_pushdown ? "on" : "off";
-  } else if (knob == "plan_cache") {
-    effective = options.plan_cache ? "on" : "off";
-  } else if (knob == "auto_parameterize") {
-    effective = options.auto_parameterize ? "on" : "off";
-  } else if (knob == "key_cache") {
-    effective = options.key_cache ? "on" : "off";
-  } else if (knob == "skyline_cache") {
-    effective = options.skyline_cache ? "on" : "off";
-  } else if (knob == "mvcc_gc") {
-    effective = options.mvcc_gc ? "on" : "off";
-  } else if (knob == "mvcc_gc_background") {
-    effective = options.mvcc_gc_background ? "on" : "off";
-  } else if (knob == "statement_timeout_ms") {
-    effective = std::to_string(options.statement_timeout_ms);
-  } else if (knob == "statement_memory_bytes") {
-    effective = std::to_string(options.statement_memory_bytes);
-  } else if (knob == "engine_memory_bytes") {
-    effective = std::to_string(options.engine_memory_bytes);
-  } else if (knob == "evaluation_mode") {
-    effective = EvaluationModeToString(options.mode);
-  } else if (knob == "bmo_algorithm") {
-    effective = options.bmo_algorithm
-                    ? BmoAlgorithmToString(*options.bmo_algorithm)
-                    : "default";
-  } else if (knob == "but_only_mode") {
-    effective = options.but_only_mode == ButOnlyMode::kPreFilter
-                    ? "prefilter"
-                    : "postfilter";
-  }
   Schema schema = Schema::FromNames({"setting", "value"});
   std::vector<Row> rows;
-  rows.push_back({Value::Text(knob), Value::Text(effective)});
+  rows.push_back({Value::Text(knob), Value::Text(k->echo(options))});
   return ResultTable(std::move(schema), std::move(rows));
 }
 

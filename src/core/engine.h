@@ -66,6 +66,15 @@
 //   * OpenCursor(text)   — streams rows through the pull pipeline without
 //                          materializing a ResultTable (core/cursor.h).
 //
+// All three reach one route per statement kind. A SELECT or EXPLAIN goes
+// through OpenPreparedCursor: shared DDL lock, snapshot pin, bind, then
+// render (EXPLAIN), rewrite (§3.2, falling back to the direct path when the
+// rewriter refuses), or plan and stream (direct path, plain SELECT). An
+// INSERT ... SELECT PREFERRING takes the same rewrite-else-direct decision
+// and drains the same direct plan under the writer mutex. Statistics are
+// recorded in two functions: FoldPlanStats (a direct plan's decisions and
+// BMO counters) and FinishStatementStats (batch and engine-wide counters).
+//
 // Per-session state (knobs, last_stats) lives in Session objects
 // (core/session.h); the Connection facade (core/connection.h) bundles one
 // Session with an engine reference for the classic embedded API.
@@ -77,6 +86,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -86,6 +96,7 @@
 #include "core/plan_cache.h"
 #include "core/preference_query.h"
 #include "core/prepared_statement.h"
+#include "core/rewriter.h"
 #include "core/session.h"
 #include "engine/database.h"
 #include "preference/key_cache.h"
@@ -217,9 +228,11 @@ class Engine {
                                       const std::vector<uint32_t>* widths =
                                           nullptr);
 
-  /// Opens a cursor over a prepared SELECT/EXPLAIN: streaming for the
-  /// direct path and plain SELECTs, materialized for EXPLAIN and the
-  /// rewrite strategy.
+  /// Opens a cursor over a prepared SELECT/EXPLAIN — the one route every
+  /// read statement takes: shared DDL lock, pinned snapshot, bind, then
+  /// evaluate. EXPLAIN and the rewrite strategy replay a materialized
+  /// result; the direct path and plain SELECTs stream from the one
+  /// streaming-cursor constructor at its tail.
   Result<Cursor> OpenPreparedCursor(Session& session,
                                     std::shared_ptr<const CachedPlan> plan,
                                     bool plan_cache_hit,
@@ -246,40 +259,36 @@ class Engine {
       const CachedPlan& plan, const std::vector<Value>* params,
       const std::vector<uint32_t>* widths = nullptr);
 
-  /// Preference SELECT via the §3.2 rewrite strategy. The Aux relations
-  /// are statement-local (bound in the current QueryContext), so the caller
-  /// holds the lock shared, like any other reader.
-  Result<ResultTable> ExecuteViaRewrite(
-      Session& session, const SelectStmt& select,
-      const std::shared_ptr<const CompiledPreference>& pref);
+  /// Preference query via the §3.2 rewrite strategy, the one "rewrite,
+  /// else fall back" decision of SELECT and INSERT ... SELECT PREFERRING:
+  /// the rewrite result in rewrite mode; nullopt when the direct path must
+  /// run instead (a direct mode, or the rewriter refused — recorded as
+  /// rewrite_fallback). The Aux relations are statement-local (bound in the
+  /// current QueryContext), so the caller holds the lock shared, like any
+  /// other reader.
+  Result<std::optional<ResultTable>> EvaluateByRewrite(
+      Session& session, const ExecutionView& view);
 
   /// The BMO rows of an INSERT ... SELECT PREFERRING: expands and compiles
-  /// `select`, then evaluates it in the session's mode (rewrite, falling
-  /// back to the direct path when the rewriter refuses). Caller holds the
-  /// DDL lock shared and the writer mutex.
+  /// `select`, then evaluates it as a SELECT would (EvaluateByRewrite, else
+  /// the direct plan drained into a table). Caller holds the DDL lock
+  /// shared and the writer mutex.
   Result<ResultTable> EvaluatePreferenceRows(Session& session,
                                              const SelectStmt& select);
 
-  /// Materialized direct evaluation (INSERT ... SELECT PREFERRING); a
-  /// SELECT streams through OpenDirectCursor instead.
-  Result<ResultTable> ExecuteDirect(
-      Session& session, const SelectStmt& select,
-      const std::shared_ptr<const CompiledPreference>& pref);
+  /// EXPLAIN's output over the bound view, rendered under the caller's
+  /// lock and pinned `snapshot`.
+  Result<ResultTable> RenderExplain(Session& session,
+                                    const ExecutionView& view,
+                                    uint64_t snapshot);
 
-  /// Builds and opens the streaming operator pipeline of a direct-path
-  /// preference query; the returned cursor owns `lock` and `pin` (its
-  /// snapshot for the cursor's lifetime).
-  Result<Cursor> OpenDirectCursor(Session& session, ExecutionView view,
-                                  std::shared_lock<std::shared_mutex> lock,
-                                  SnapshotPin pin,
-                                  std::shared_ptr<const CachedPlan> plan,
-                                  std::shared_ptr<QueryContext> qctx,
-                                  std::shared_ptr<Engine> keepalive);
-
-  Result<ResultTable> ExecuteExplain(Session& session, const CachedPlan& plan,
-                                     const std::vector<Value>* params,
-                                     const std::vector<uint32_t>* widths =
-                                         nullptr);
+  /// Probes the base columns of the query's FROM (a `SELECT *` schema
+  /// probe), validates the preference against them, and translates the
+  /// query with the §3.2 rewriter, naming its Aux relation `aux_name`.
+  /// Caller must hold the lock.
+  Result<RewriteOutput> RewriteLocked(const Session& session,
+                                      const AnalyzedPreferenceQuery& analyzed,
+                                      const std::string& aux_name);
 
   /// SET <knob> = <value>: run-time access to the session's options.
   Result<ResultTable> ExecuteSet(Session& session, const Statement& stmt);
@@ -291,13 +300,10 @@ class Engine {
   /// only when needed). Caller must hold the lock (catalog read).
   Result<std::shared_ptr<SelectStmt>> ExpandSelect(const SelectStmt& select);
 
-  /// Column names a `SELECT *` over the query's FROM would produce (schema
-  /// probe for the rewriter). Caller must hold the lock.
-  Result<std::vector<std::string>> ProbeBaseColumns(const SelectStmt& select);
-
-  /// Copies the caches' cumulative eviction counters into `session`'s
-  /// last_stats.
-  void SnapshotCacheCounters(Session& session);
+  /// Completes `session`'s last_stats at the end of a statement: the batch
+  /// counters of its context `ctx` (may be null) and the caches' and
+  /// executor's cumulative engine-wide counters.
+  void FinishStatementStats(Session& session, const QueryContext* ctx);
 
   /// Carries skyline-cache entries of the table the last DML statement
   /// touched to its new version (incremental maintenance; see the file

@@ -106,6 +106,7 @@ Result<PreferencePlan> BuildPreferencePlan(
   PreferencePlan plan;
   plan.bmo_stats = std::make_unique<BmoRunStats>();
   plan.prefilter_stats = std::make_unique<BmoRunStats>();
+  plan.algorithm = options.bmo.algorithm;
 
   // Quality-function usage decides both the augmented output schema and the
   // pushdown eligibility: LEVEL/DISTANCE offsets are relative to the
@@ -372,33 +373,30 @@ Result<PreferencePlan> BuildPreferencePlan(
   return plan;
 }
 
-Result<ResultTable> ExecutePreferenceQueryDirect(
-    Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const DirectEvalOptions& options, DirectEvalStats* stats) {
-  PSQL_ASSIGN_OR_RETURN(PreferencePlan plan,
-                        BuildPreferencePlan(db, analyzed, options));
-  auto result = DrainToTable(*plan.root);
-  if (stats != nullptr) {
-    // The sinks were flushed by Close (DrainToTable closes even on error),
-    // so the counters are valid for partial runs too.
-    stats->bmo = plan.bmo_stats->bmo;
-    stats->bmo.comparisons += plan.prefilter_stats->bmo.comparisons;
-    stats->candidate_count = plan.bmo_stats->candidate_count;
-    stats->partitions = plan.bmo_stats->partitions;
-    stats->threads_used = std::max(plan.bmo_stats->threads_used,
-                                   plan.prefilter_stats->threads_used);
-    stats->used_pushdown = plan.used_pushdown;
-    stats->pushdown_detail = plan.pushdown_detail;
-    stats->prefilter = *plan.prefilter_stats;
-    stats->key_cache_eligible = plan.key_cache_eligible;
-    stats->key_cache_hit = plan.bmo_stats->key_cache_hit;
-    stats->key_cache_detail = plan.bmo_stats->key_cache_detail.empty()
-                                  ? plan.key_cache_detail
-                                  : plan.bmo_stats->key_cache_detail;
-    stats->skyline_cache_hit = plan.skyline_cache_hit;
-    stats->skyline_cache_detail = plan.skyline_cache_detail;
-  }
-  return result;
+void FoldPlanStats(const PreferencePlan& plan, PreferenceQueryStats& stats) {
+  const BmoRunStats& bmo = *plan.bmo_stats;
+  const BmoRunStats& pre = *plan.prefilter_stats;
+  stats.bmo_algorithm = BmoAlgorithmToString(plan.algorithm);
+  stats.used_pushdown = plan.used_pushdown;
+  stats.pushdown_detail = plan.pushdown_detail;
+  stats.key_cache_eligible = plan.key_cache_eligible;
+  stats.key_cache_hit = bmo.key_cache_hit;
+  // A cache-keyed run says how it obtained its keys; otherwise the
+  // planner's eligibility line stands.
+  stats.key_cache_detail = bmo.key_cache_detail.empty()
+                               ? plan.key_cache_detail
+                               : bmo.key_cache_detail;
+  stats.skyline_cache_hit = plan.skyline_cache_hit;
+  stats.skyline_cache_detail = plan.skyline_cache_detail;
+  stats.candidate_count = bmo.candidate_count;
+  stats.bmo_comparisons = bmo.bmo.comparisons + pre.bmo.comparisons;
+  stats.bmo_partitions = bmo.partitions;
+  stats.bmo_threads_used = std::max(bmo.threads_used, pre.threads_used);
+  stats.bmo_kernel = DominanceKernelToString(bmo.bmo.kernel);
+  stats.bmo_simd = SimdVariantToString(bmo.bmo.simd);
+  stats.bmo_key_build_ns = bmo.bmo.key_build_ns;
+  stats.prefilter_candidate_count = pre.candidate_count;
+  stats.prefilter_result_count = pre.result_count;
 }
 
 }  // namespace prefsql

@@ -26,8 +26,8 @@
 #include "core/bmo.h"
 #include "core/bmo_operator.h"
 #include "core/quality.h"
+#include "core/session.h"
 #include "engine/database.h"
-#include "types/result_table.h"
 #include "util/status.h"
 
 namespace prefsql {
@@ -56,28 +56,13 @@ struct DirectEvalOptions {
   bool skyline_cache = true;
 };
 
-/// Observability of one direct evaluation (benches, Connection stats).
-struct DirectEvalStats {
-  BmoStats bmo;                ///< dominance tests, BMO block + pre-filter
-  size_t candidate_count = 0;  ///< rows after WHERE, before the BMO block
-  size_t partitions = 0;       ///< GROUPING partitions of the BMO block
-  size_t threads_used = 1;     ///< parallel pool width (1 = serial)
-  bool used_pushdown = false;  ///< semi-skyline pre-filter below the join
-  std::string pushdown_detail; ///< placement / rejection reason
-  BmoRunStats prefilter;       ///< counters of the pushed-down pre-filter
-  bool key_cache_eligible = false;  ///< run was keyed against the key cache
-  bool key_cache_hit = false;  ///< packed keys reused from the key cache
-  std::string key_cache_detail;  ///< eligibility / rejection reason
-  bool skyline_cache_hit = false;  ///< served from cached skyline positions
-  std::string skyline_cache_detail;  ///< serve eligibility / rejection
-};
-
 /// A compiled direct-evaluation plan: the operator tree plus the stats
 /// sinks its BMO operators flush on Close (valid even when the drain stops
 /// early or fails).
 struct PreferencePlan {
   std::unique_ptr<BmoRunStats> bmo_stats;        ///< BMO block counters
   std::unique_ptr<BmoRunStats> prefilter_stats;  ///< pushdown pre-filter
+  BmoAlgorithm algorithm = BmoAlgorithm::kBlockNestedLoop;  ///< algorithm run
   bool used_pushdown = false;
   std::string pushdown_detail;
   bool key_cache_eligible = false;
@@ -93,18 +78,19 @@ struct PreferencePlan {
   OperatorPtr root;
 };
 
-/// Compiles `analyzed` into an executable plan without draining it
-/// (EXPLAIN uses this to describe the pushdown decision, with
-/// `count_stats` false so describing a plan leaves the executor's scan
-/// counters untouched).
+/// Compiles `analyzed` into an executable plan without draining it: the
+/// one plan builder of the direct path. A SELECT streams the plan through a
+/// Cursor, INSERT ... SELECT PREFERRING drains it into its target table, and
+/// EXPLAIN describes it, with `count_stats` false so describing a plan
+/// leaves the executor's scan counters untouched.
 Result<PreferencePlan> BuildPreferencePlan(
     Database& db, const AnalyzedPreferenceQuery& analyzed,
     const DirectEvalOptions& options = {}, bool count_stats = true);
 
-/// Executes `analyzed` against `db` and returns the BMO result. `stats` is
-/// populated even when execution fails partway.
-Result<ResultTable> ExecutePreferenceQueryDirect(
-    Database& db, const AnalyzedPreferenceQuery& analyzed,
-    const DirectEvalOptions& options = {}, DirectEvalStats* stats = nullptr);
+/// Folds one direct evaluation into `stats`: the plan's decisions (pushdown
+/// placement, cache keying, algorithm) and the counters its BMO operators
+/// flushed into the sinks. The one place BMO counters reach the statement
+/// statistics; call it after the plan's tree is closed.
+void FoldPlanStats(const PreferencePlan& plan, PreferenceQueryStats& stats);
 
 }  // namespace prefsql

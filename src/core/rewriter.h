@@ -16,7 +16,7 @@
 // MIN/MAX subqueries) is SQL92 entry level, so the output runs on any
 // compliant host database — here, on src/engine. The engine itself does not
 // run the script verbatim: it materializes each CREATE VIEW body as a
-// statement-local relation (Engine::ExecuteViaRewrite), so the catalog is
+// statement-local relation (Engine::EvaluateByRewrite), so the catalog is
 // never touched; the full script is what EXPLAIN and RewriteToSql print.
 
 #pragma once

@@ -149,16 +149,6 @@ struct PreferenceQueryStats {
   std::string batch_fallback;
 };
 
-/// Copies the statement context's batch-execution counters into `stats`
-/// (called where a statement's stats are finalized: cursor close, the
-/// materialized execution paths).
-inline void FlushBatchExecStats(const QueryContext* ctx,
-                                PreferenceQueryStats& stats) {
-  if (ctx == nullptr) return;
-  stats.batches = ctx->batch_stats().batches;
-  stats.batch_rows = ctx->batch_stats().batch_rows;
-}
-
 /// Per-client state over a (possibly shared) Engine.
 class Session {
  public:

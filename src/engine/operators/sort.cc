@@ -81,7 +81,19 @@ Status LimitOperator::Open() {
 Result<bool> LimitOperator::NextBatch(RowBatch* out) {
   if (limit_ && emitted_ >= *limit_) return false;
   while (true) {
-    PSQL_ASSIGN_OR_RETURN(bool more, child_->NextBatch(out));
+    // Ask the child for no more rows than OFFSET and LIMIT still want, so
+    // the tree below never evaluates a row past the limit (a predicate on
+    // such a row may fail, and reading it is waste anyway).
+    const size_t capacity = out->capacity;
+    if (limit_) {
+      const int64_t skip = offset_ ? std::max<int64_t>(*offset_ - skipped_, 0)
+                                   : 0;
+      out->capacity = std::min(
+          capacity, static_cast<size_t>(skip + *limit_ - emitted_));
+    }
+    Result<bool> pulled = child_->NextBatch(out);
+    out->capacity = capacity;
+    PSQL_ASSIGN_OR_RETURN(bool more, std::move(pulled));
     if (!more) return false;
     // OFFSET consumes from the front of the selection; LIMIT truncates its
     // tail. Row data stays in place — only `sel` changes.

@@ -10,8 +10,9 @@
 //     resolution and zero row copies.
 //   * `capacity` — set by the consumer: no producer puts more rows than
 //     this into the batch. Drains leave the default; an early-exit consumer
-//     (the EXISTS probe) asks for 1, so the tree below reads no row past
-//     the first one it needs.
+//     asks for only what it still needs — the EXISTS probe for 1, LIMIT for
+//     the rows OFFSET and LIMIT still want — so the tree below reads no row
+//     past them.
 //
 // Per-row bookkeeping amortizes across the batch: one interrupt poll, one
 // memory-budget charge, and (for heap scans) one MVCC visibility sweep per

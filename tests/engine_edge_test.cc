@@ -86,6 +86,60 @@ TEST_F(EngineEdgeTest, ExistsProbeStopsAtFirstQualifyingRow) {
                    .ok());
 }
 
+// LIMIT stops reading at the rows OFFSET and LIMIT still want: the row x=2
+// of t, whose scalar subquery would fail with more than one row, is never
+// evaluated once the first qualifying row satisfied LIMIT 1.
+TEST_F(EngineEdgeTest, LimitStopsAtTheRowsItNeeds) {
+  Run("CREATE TABLE t (x INTEGER)");
+  Run("CREATE TABLE u (k INTEGER, v INTEGER)");
+  Run("INSERT INTO t VALUES (1), (2)");
+  Run("INSERT INTO u VALUES (1, 10), (2, 20), (2, 21)");
+  ResultTable t =
+      Run("SELECT x FROM t WHERE (SELECT v FROM u WHERE u.k = t.x) > 0 "
+          "LIMIT 1");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.at(0, 0).AsInt(), 1);
+  // LIMIT 0 reads nothing at all.
+  EXPECT_EQ(Run("SELECT x FROM t WHERE (SELECT v FROM u WHERE u.k = t.x) "
+                "> 0 LIMIT 0")
+                .num_rows(),
+            0u);
+  // Asking for the second row must evaluate x=2, and fails.
+  EXPECT_FALSE(conn_
+                   .Execute("SELECT x FROM t WHERE "
+                            "(SELECT v FROM u WHERE u.k = t.x) > 0 LIMIT 2")
+                   .ok());
+}
+
+TEST_F(EngineEdgeTest, LimitWithOffsetStopsAtTheRowsItNeeds) {
+  Run("CREATE TABLE t (x INTEGER)");
+  Run("CREATE TABLE u (k INTEGER, v INTEGER)");
+  Run("INSERT INTO t VALUES (1), (2), (3)");
+  Run("INSERT INTO u VALUES (1, 10), (2, 20), (3, 30), (3, 31)");
+  ResultTable t =
+      Run("SELECT x FROM t WHERE (SELECT v FROM u WHERE u.k = t.x) > 0 "
+          "LIMIT 1 OFFSET 1");
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.at(0, 0).AsInt(), 2);
+}
+
+TEST_F(EngineEdgeTest, LimitThroughACursorStopsAtTheRowsItNeeds) {
+  Run("CREATE TABLE t (x INTEGER)");
+  Run("CREATE TABLE u (k INTEGER, v INTEGER)");
+  Run("INSERT INTO t VALUES (1), (2)");
+  Run("INSERT INTO u VALUES (1, 10), (2, 20), (2, 21)");
+  auto cursor = conn_.OpenCursor(
+      "SELECT x FROM t WHERE (SELECT v FROM u WHERE u.k = t.x) > 0 LIMIT 1");
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  auto row = cursor->Next();
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  ASSERT_TRUE(row->has_value());
+  EXPECT_EQ((**row).row()[0].AsInt(), 1);
+  auto end = cursor->Next();
+  ASSERT_TRUE(end.ok()) << end.status().ToString();
+  EXPECT_FALSE(end->has_value());
+}
+
 TEST_F(EngineEdgeTest, PreferenceOnDateBetween) {
   Run("CREATE TABLE ev (id INTEGER, d DATE)");
   Run("INSERT INTO ev VALUES (1, '1999/6/20'), (2, '1999/7/5'), "
