@@ -1,7 +1,8 @@
 // Serving-scale behaviour of the shared-engine architecture: repeated-query
 // throughput cold vs. warm (prepared-plan cache + preference-key cache),
 // cache benefit vs. caches off, multi-session scaling over one shared
-// Engine, and the cost of invalidation churn (DML between queries).
+// Engine, the cost of invalidation churn (DML between queries), and the
+// cost of a single-row write as the number of cached entries grows.
 //
 // Writes BENCH_serving.json (bench_json.h record format). Wall times on
 // shared CI runners are noisy; the signal is the cold/warm ratio and the
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +50,75 @@ double MeanMs(prefsql::Connection& conn, int iters) {
     }
   }
   return MsSince(t0) / iters;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0 : v[v.size() / 2];
+}
+
+// Write cost vs cached entries: p50 of single-row INSERT, UPDATE and DELETE
+// (point WHERE on the indexed id) over kRows cars while 0, 16 and 64
+// skyline entries are cached, every one of which each write carries to the
+// new table version. The entries are re-warmed (untimed) before each write,
+// since a write that touches a skyline member drops that entry.
+void DmlMaintenance(prefsql::benchjson::Writer& json) {
+  constexpr int kRounds = 60;
+  for (size_t entries : {size_t{0}, size_t{16}, size_t{64}}) {
+    prefsql::Connection conn;
+    if (!prefsql::GenerateUsedCars(conn.database(), kRows, 7).ok() ||
+        !conn.Execute("CREATE INDEX car_id ON car (id)").ok() ||
+        !conn.Execute("SET evaluation_mode = bnl").ok()) {
+      std::fprintf(stderr, "dml_maintenance setup failed\n");
+      std::exit(1);
+    }
+    size_t cached_min = SIZE_MAX;
+    auto warm = [&] {
+      for (size_t e = 0; e < entries; ++e) {
+        (void)conn.Execute("SELECT id FROM car PREFERRING price AROUND " +
+                           std::to_string(5000 + 250 * e) +
+                           " AND LOWEST(mileage)");
+      }
+      cached_min = std::min(cached_min, conn.engine()->key_cache().size());
+    };
+    std::vector<double> insert_ms, update_ms, delete_ms;
+    auto timed = [&](const std::string& sql, std::vector<double>* out) {
+      warm();
+      const auto t0 = Clock::now();
+      auto r = conn.Execute(sql);
+      out->push_back(MsSince(t0));
+      if (!r.ok()) {
+        std::fprintf(stderr, "dml_maintenance write failed: %s\n",
+                     r.status().ToString().c_str());
+        std::exit(1);
+      }
+    };
+    for (int i = 0; i < kRounds; ++i) {
+      // A dominated row (far from every AROUND target, worst mileage), so
+      // the entries survive the INSERT and its DELETE.
+      const std::string id = std::to_string(900000 + i);
+      timed("INSERT INTO car VALUES (" + id +
+                ", 'zz', 'zz', 'zz', 'zz', 999999, 999999, 1, 1, 0, 0)",
+            &insert_ms);
+      timed("UPDATE car SET price = price + 1 WHERE id = " +
+                std::to_string((static_cast<size_t>(i) * 331) % kRows),
+            &update_ms);
+      timed("DELETE FROM car WHERE id = " + id, &delete_ms);
+    }
+    std::printf(
+        "dml maintenance, %zu rows, %zu cached entries: p50 insert %.3f ms, "
+        "update %.3f ms, delete %.3f ms\n",
+        kRows, cached_min, Median(insert_ms), Median(update_ms),
+        Median(delete_ms));
+    json.BeginRecord()
+        .Field("section", "dml_maintenance")
+        .Field("rows", static_cast<uint64_t>(kRows))
+        .Field("cached_entries", static_cast<uint64_t>(cached_min))
+        .Field("rounds", static_cast<uint64_t>(kRounds))
+        .Field("insert_p50_ms", Median(insert_ms))
+        .Field("update_p50_ms", Median(update_ms))
+        .Field("delete_p50_ms", Median(delete_ms));
+  }
 }
 
 }  // namespace
@@ -796,6 +867,9 @@ int main(int argc, char** argv) {
         .Field("wall_ms", wall_ms)
         .Field("qps", qps);
   }
+
+  // --- 13. Write cost vs cached skyline entries (see DmlMaintenance). ---
+  DmlMaintenance(json);
 
   if (!json.Write()) {
     std::fprintf(stderr, "failed to write BENCH_serving.json\n");

@@ -163,16 +163,23 @@ Status BmoOperator::Open() {
   if (keys_ == nullptr) {
     using Clock = std::chrono::steady_clock;
     size_t tick = 0;
+    // A published whole-table store reserves headroom, so the engine's
+    // post-write maintenance appends the written rows into it in place
+    // instead of copying the table's keys (KeyStore::Extend).
+    const size_t capacity =
+        publish_keys && use_positions_
+            ? key_rows + KeyStore::Headroom(key_rows)
+            : key_rows;
     // Charge the key store up front (scores: 8 bytes, explicit ids: 4 bytes
     // per leaf per row) — the single largest allocation of the run. A
     // refused charge surfaces kResourceExhausted before the memory exists.
     if (qctx != nullptr) {
       PSQL_RETURN_IF_ERROR(qctx->ChargeMemory(
-          key_rows * pref_->num_leaves() * (sizeof(double) + sizeof(int32_t)),
+          capacity * pref_->num_leaves() * (sizeof(double) + sizeof(int32_t)),
           &stmt_charge_, &engine_charge_));
     }
     auto built = std::make_shared<KeyStore>(pref_->num_leaves());
-    built->Reserve(key_rows);
+    built->Reserve(capacity);
     const auto t0 = Clock::now();
     if (use_positions_) {
       // Key every slot of the snapshot's key space, dead versions included

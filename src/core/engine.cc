@@ -982,8 +982,9 @@ void AdmitIntoSkyline(const DominanceProgram& prog, const KeyStore& keys,
 // and must be invalidated. Under MVCC every DML is appends + end-stamps in
 // a position-stable heap, so all three statement kinds share one shape:
 // the entry's keys for the surviving slots are still correct verbatim, the
-// appended slots [heap_before, heap_size) get fresh keys, and each
-// appended tuple is dominance-tested against the cached skyline. Returns
+// appended slots [heap_before, heap_size) get fresh keys (appended past the
+// published rows, which the carried store shares: O(appended rows)), and
+// each appended tuple is dominance-tested against the cached skyline. Returns
 // `entry` itself (no copy) when nothing was appended — a pure DELETE of
 // non-members keeps both keys and skyline bit-identical; only the version
 // key moves.
@@ -1010,8 +1011,11 @@ std::shared_ptr<const SkylineEntry> MaintainEntry(
   const CompiledPreference& pref = *entry->pref;
   const DominanceProgram& prog = pref.program();
   const SimdVariant simd = prog.simd_variant();
-  auto keys = std::make_shared<KeyStore>(*entry->keys);
-  keys->Reserve(heap_now);
+  // Shares the published rows and appends past them; copies (with
+  // headroom for the writes to come) only when another extension of this
+  // entry already took the free capacity or it ran out.
+  auto keys = std::make_shared<KeyStore>(entry->keys->Extend(
+      heap_now - dml.heap_before, KeyStore::Headroom(heap_now)));
   for (size_t slot = dml.heap_before; slot < heap_now; ++slot) {
     if (!pref.AppendKey(table.schema(), table.heap().row(slot), keys.get(),
                         nullptr)

@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/query_context.h"
 #include "engine/planner.h"
@@ -133,6 +134,27 @@ class DmlCommit {
   uint64_t epoch_;
   bool mutated_ = false;
 };
+
+// The access path of UPDATE and DELETE: the slots below `heap_before` that
+// an index serving the WHERE's equality/range conjuncts returns, ascending;
+// nullopt when no index serves it (every slot is a candidate). The slots
+// include dead versions, and callers check visibility and then the full
+// WHERE, exactly as on the full scan. Slots at or above `heap_before` are
+// the statement's own appended versions and are never revisited.
+std::optional<std::vector<size_t>> IndexedDmlSlots(Executor* executor,
+                                                   const Statement& stmt,
+                                                   size_t heap_before) {
+  if (stmt.where == nullptr) return std::nullopt;
+  auto slots =
+      Planner(executor).TryIndexPositions(stmt.name, stmt.name, *stmt.where);
+  executor->CountScan(/*used_index=*/slots.has_value());
+  if (slots) {
+    std::sort(slots->begin(), slots->end());
+    slots->erase(std::lower_bound(slots->begin(), slots->end(), heap_before),
+                 slots->end());
+  }
+  return slots;
+}
 
 }  // namespace
 
@@ -326,7 +348,10 @@ Result<ResultTable> Executor::ExecuteUpdate(const Statement& stmt) {
   int64_t affected = 0;
   // Only slots that existed at statement start: our own appended versions
   // land above heap_before and must not be revisited.
-  for (size_t slot = 0; slot < dml.heap_before; ++slot) {
+  const auto indexed = IndexedDmlSlots(this, stmt, dml.heap_before);
+  const size_t candidates = indexed ? indexed->size() : dml.heap_before;
+  for (size_t i = 0; i < candidates; ++i) {
+    const size_t slot = indexed ? (*indexed)[i] : i;
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
     if (!heap.VisibleAt(slot, read_epoch)) continue;
     const Row& row = heap.row(slot);
@@ -378,7 +403,10 @@ Result<ResultTable> Executor::ExecuteDelete(const Statement& stmt) {
   DmlCommit commit(table, &dml);
   size_t tick = 0;
   int64_t deleted = 0;
-  for (size_t slot = 0; slot < dml.heap_before; ++slot) {
+  const auto indexed = IndexedDmlSlots(this, stmt, dml.heap_before);
+  const size_t candidates = indexed ? indexed->size() : dml.heap_before;
+  for (size_t i = 0; i < candidates; ++i) {
+    const size_t slot = indexed ? (*indexed)[i] : i;
     PSQL_RETURN_IF_ERROR(PollInterrupt(&tick));
     if (!heap.VisibleAt(slot, read_epoch)) continue;
     if (stmt.where != nullptr) {

@@ -93,6 +93,15 @@ class Planner {
                                std::optional<int64_t> offset,
                                OperatorPtr child, const EvalContext* outer);
 
+  /// Index-assisted access path: candidate heap slots (unordered, dead
+  /// versions included) for the indexable equality/range conjuncts of
+  /// `where`; callers check visibility and re-apply the full WHERE.
+  /// nullopt when no usable index exists. Also the access path of UPDATE
+  /// and DELETE (Executor).
+  std::optional<std::vector<size_t>> TryIndexPositions(
+      const std::string& table_name, const std::string& visible_alias,
+      const Expr& where);
+
  private:
   Result<OperatorPtr> PlanTableRef(const TableRef& tr,
                                    const EvalContext* outer);
@@ -108,13 +117,6 @@ class Planner {
   Result<OperatorPtr> PlanAggregate(const SelectStmt& select,
                                     OperatorPtr input,
                                     const EvalContext* outer);
-
-  /// Index-assisted access path: row positions matching the indexable
-  /// equality/range conjuncts of `where` (callers re-apply the full WHERE);
-  /// nullopt when no usable index exists.
-  std::optional<std::vector<size_t>> TryIndexPositions(
-      const std::string& table_name, const std::string& visible_alias,
-      const Expr& where);
 
   Executor* executor_;
 };

@@ -32,24 +32,30 @@
 //
 // Incremental maintenance: after a DML statement the engine does not merely
 // abandon the now-unreachable entries — it re-derives them under the new
-// table version (core/engine.cc, MaintainSkylineCaches):
-//   * INSERT appends keys for the new rows and dominance-tests each new
-//     tuple against the cached skyline (a non-maximal tuple is always
-//     dominated by some maximal one, so testing against the skyline alone
-//     is exact), adding survivors and evicting newly-dominated members;
-//   * DELETE of non-skyline rows rebuilds the keys without them and remaps
-//     the skyline positions; deleting a skyline member drops the skyline
-//     (the members it was masking are unknown);
-//   * UPDATE of non-skyline rows re-keys them and treats them as inserts;
-//     updating a skyline member drops the skyline.
+// table version (core/engine.cc, MaintainSkylineCaches). Under MVCC every
+// statement kind is appends plus end-stamps in a position-stable heap
+// (UPDATE = end-stamp the old version + append the new one), so one rule
+// covers all three:
+//   * the entry's keys for the existing slots stay valid verbatim; the
+//     appended slots are keyed into an extension of the published store
+//     that shares its rows (KeyStore::Extend), so a one-row write costs
+//     one row per entry, not a copy of the table's keys;
+//   * each appended tuple is dominance-tested against the cached skyline
+//     (a non-maximal tuple is always dominated by some maximal one, so
+//     testing against the skyline alone is exact), adding survivors and
+//     evicting newly-dominated members;
+//   * end-stamping a non-member changes nothing (dead slots are never
+//     candidates); end-stamping a skyline member invalidates the entry
+//     (the members it was masking are unknown).
 // The maintained entry is keyed at the *new* version; the stale entry is
 // reclaimed by the regular post-write sweep. SnapshotForTable and the
 // maintenance counters below exist for that loop.
 //
 // Thread safety: all operations lock an internal mutex (util/lru_cache.h),
 // so concurrent reader sessions of a shared engine may probe and fill the
-// cache freely. The stored entries are immutable after insertion;
-// maintenance publishes fresh entries under fresh keys.
+// cache freely. The stored entries are immutable after insertion —
+// an extension writes only past the rows its base store exposes —
+// and maintenance publishes fresh entries under fresh keys.
 
 #pragma once
 

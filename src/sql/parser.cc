@@ -314,13 +314,21 @@ Result<Statement> Parser::ParseSet() {
   st.kind = StatementKind::kSet;
   PSQL_ASSIGN_OR_RETURN(st.name, ExpectIdentifier("setting name"));
   PSQL_RETURN_IF_ERROR(Expect(TokenType::kEq, "'='"));
+  // A signed number reaches the knob, which rejects what it cannot take
+  // ("SET x = -1" is the knob's error, not a parse error).
+  const bool negative = Match(TokenType::kMinus);
   const Token& tok = Peek();
+  if (negative && tok.type != TokenType::kInteger &&
+      tok.type != TokenType::kFloat) {
+    return Error("expected a number after '-'");
+  }
   switch (tok.type) {
     case TokenType::kInteger:
-      st.set_value = Value::Int(tok.int_value);
+      st.set_value = Value::Int(negative ? -tok.int_value : tok.int_value);
       break;
     case TokenType::kFloat:
-      st.set_value = Value::Double(tok.double_value);
+      st.set_value =
+          Value::Double(negative ? -tok.double_value : tok.double_value);
       break;
     case TokenType::kString:
     case TokenType::kIdentifier:

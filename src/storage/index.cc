@@ -13,10 +13,10 @@ Index::Index(std::string name, const Table* table,
 
 void Index::RefreshIfStale() {
   const RowHeap& heap = table_->heap();
-  size_t n = heap.size();
-  if (built_size_ == n) return;
-  entries_.clear();
-  for (size_t pos = 0; pos < n; ++pos) {
+  const size_t n = heap.size();
+  // The heap only appends and never moves a slot, so the entries of
+  // [0, built_size_) stay valid: index just the appended slots.
+  for (size_t pos = built_size_; pos < n; ++pos) {
     if (heap.payload_cleared(pos)) continue;  // GC'd version: key is gone
     const Row& row = heap.row(pos);
     Row key;

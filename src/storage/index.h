@@ -21,12 +21,16 @@ class Table;
 /// Ordered secondary index over one or more columns of a base table.
 ///
 /// MVCC notes: the index covers every heap slot (live and dead versions
-/// alike, skipping GC-cleared payloads) and is rebuilt lazily when the heap
-/// has grown — deletes only end-stamp slots, so they never stale the index.
-/// Lookups therefore return *candidate* positions; the planner filters them
-/// by snapshot visibility before use. Results are returned by value because
-/// writers commit concurrently with readers now, so another statement may
-/// trigger a rebuild while a previously returned result is still in use.
+/// alike) and catches up lazily when the heap has grown, by indexing just
+/// the appended slots — the heap is append-only and position-stable, and
+/// deletes only end-stamp slots, so they never stale the index. A slot
+/// whose payload GC cleared before it was indexed is skipped; one cleared
+/// after keeps its entry (the heap keeps the slot header too). Lookups
+/// therefore return *candidate* positions; callers filter them by snapshot
+/// visibility before use (a cleared slot is visible at no servable
+/// snapshot). Results are returned by value because writers commit
+/// concurrently with readers, so another statement may extend the index
+/// while a previously returned result is still in use.
 class Index {
  public:
   Index(std::string name, const Table* table, std::vector<size_t> key_columns);
@@ -35,8 +39,8 @@ class Index {
   const std::vector<size_t>& key_columns() const { return key_columns_; }
 
   /// Slot positions whose key equals `key` (same arity as key_columns).
-  /// Refreshes the index if the heap grew. Candidates only — callers must
-  /// filter by snapshot visibility.
+  /// Indexes the appended slots first if the heap grew. Candidates only —
+  /// callers must filter by snapshot visibility.
   std::vector<size_t> Lookup(const Row& key);
 
   /// Slot positions with key in [lo, hi] on a single-column index.
@@ -66,7 +70,7 @@ class Index {
   std::string name_;
   const Table* table_;
   std::vector<size_t> key_columns_;
-  size_t built_size_ = ~size_t{0};
+  size_t built_size_ = 0;  // heap slots [0, built_size_) are indexed
   std::map<Row, std::vector<size_t>, RowLess> entries_;
 };
 

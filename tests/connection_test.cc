@@ -165,6 +165,10 @@ TEST(ConnectionTest, SetKnobsRejectBadValues) {
   };
   EXPECT_EQ(error("SET bmo_threads = 2.5"),
             "SET bmo_threads expects a non-negative integer");
+  EXPECT_EQ(error("SET statement_timeout_ms = -1"),
+            "SET statement_timeout_ms expects a non-negative integer");
+  EXPECT_EQ(error("SET bmo_threads = -2.5"),
+            "SET bmo_threads expects a non-negative integer");
   EXPECT_EQ(error("SET statement_timeout_ms = 'soon'"),
             "SET statement_timeout_ms expects a non-negative integer");
   EXPECT_EQ(error("SET key_cache = 'maybe'"),
